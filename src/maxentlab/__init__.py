@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundQuery,
-    BoundReport,
     cantelli_tail_bound,
     empirical_weight_norm_lower_bound,
     empirical_weight_norm_lower_bound_asymptotic,

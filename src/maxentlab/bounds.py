@@ -30,6 +30,16 @@ The deviation bound is stated for the max row norm ||w||_inf; because
 always implied. Verification accounts violations against the ||w||_2 form
 and records the ||w||_inf form alongside it.
 
+Monte-Carlo verification draws (model, dataset) trials. Every observed
+quantity is a mean prediction entropy, which depends on an input x only
+through its logits V x (V = W A), and the logits of the feature mixture are
+themselves an exact Gaussian mixture in R^C (means V mu_c, covariances
+V Sigma_c V'). Both the expected entropy (``expected_entropy_mc``) and the
+N-sample empirical entropy of a trial are therefore sampled in logit space,
+never as feature vectors. The mixture is validated on entry to
+``verify_bound``, not again for each trial's dataset, and each trial draws
+from its own derived stream, so the rows do not depend on the thread count.
+
 Tail inequalities: for independent X_i in [a_i, b_i] and mean deviation
 t > 0, Pr(mean - E mean >= t) <= exp(-2 n^2 t^2 / sum (b_i - a_i)^2); for a
 variable with variance sigma^2 and threshold lam > 0,
@@ -39,17 +49,16 @@ Pr(X - E X >= lam) <= sigma^2 / (sigma^2 + lam^2). Both are capped at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ._streams import TRIAL, derive_rng
-from .core import LinearSoftmaxModel, empirical_mean_entropy, expected_entropy_mc
-from .datasets import LabeledDataset
+from .core import LinearSoftmaxModel, _logit_entropies, expected_entropy_mc
 from .diversity import analytic_diversity
 from .errors import DomainError
-from .mixtures import GaussianMixture, fourth_moment_and_variance, sample
+from .mixtures import GaussianMixture, fourth_moment_and_variance
 
 BOUND_KINDS = ("weight_norm", "entropy_deviation", "empirical_weight_norm")
 
@@ -80,18 +89,6 @@ class BoundQuery:
         if self.sample_count < 1:
             raise DomainError(f"sample_count must be >= 1, got {self.sample_count}")
         return self
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluated bound against the observed quantity; satisfied iff margin >= 0."""
-
-    kind: str
-    bound_value: float
-    observed: float
-    margin: float
-    satisfied: bool
-    inputs: dict = field(default_factory=dict, hash=False)
 
 
 def weight_norm_lower_bound(class_count: int, mean_entropy: float, nu: float) -> float:
@@ -282,7 +279,9 @@ def verify_bound(
                             widened by ``guard_sigmas`` standard errors, so
                             the violation rate must be 0.
     entropy_deviation:      probabilistic; rate must stay <= delta. The
-                            expected entropy is re-estimated per trial.
+                            expected entropy is re-estimated per trial and
+                            compared with the mean entropy of
+                            ``sample_count`` fresh draws.
     empirical_weight_norm:  probabilistic; rate must stay <= delta. Trials
                             where the denominator is not positive are counted
                             as inapplicable, never as violations.
@@ -295,8 +294,11 @@ def verify_bound(
         raise DomainError(f"unknown bound kind {kind!r}")
     if trials < 100:
         raise DomainError(f"trials must be >= 100, got {trials}")
+    if sample_count < 1:
+        raise DomainError(f"sample_count must be >= 1, got {sample_count}")
     if weight_norm_mode not in ("l2", "inf"):
         raise DomainError(f"weight_norm_mode must be 'l2' or 'inf', got {weight_norm_mode!r}")
+    # analytic_diversity validates the mixture; trials sample it unchecked
     report = analytic_diversity(mixture)
     nu = report.nu
     _, var_sqnorm = fourth_moment_and_variance(mixture)
@@ -317,8 +319,7 @@ def verify_bound(
             guard = guard_sigmas * se / (2.0 * math.sqrt(nu))
             margin = observed + guard - bound
         elif kind == "entropy_deviation":
-            data = _features_only(mixture, sample_count, rng)
-            emp = float(_mean_entropy_of(model, data))
+            emp = float(_logit_entropies(model, mixture, sample_count, rng).mean())
             est, _ = expected_entropy_mc(
                 model, mixture, entropy_draws, int(rng.integers(0, 2**63 - 1))
             )
@@ -328,8 +329,7 @@ def verify_bound(
             extra = entropy_deviation_bound(model.w_inf(), nu, var_sqnorm, sample_count, delta)
             margin = bound - observed
         else:  # empirical_weight_norm
-            data = _features_only(mixture, sample_count, rng)
-            emp = float(_mean_entropy_of(model, data))
+            emp = float(_logit_entropies(model, mixture, sample_count, rng).mean())
             try:
                 bound = empirical_weight_norm_lower_bound(
                     model.class_count,
@@ -386,13 +386,3 @@ def verify_bound(
         extras=extras,
     )
 
-
-def _features_only(mixture: GaussianMixture, count: int, rng: np.random.Generator) -> np.ndarray:
-    from .core import _sample_with_rng
-
-    return _sample_with_rng(mixture, count, rng)
-
-
-def _mean_entropy_of(model: LinearSoftmaxModel, features: np.ndarray) -> float:
-    dataset = LabeledDataset(features, np.zeros(features.shape[0], dtype=np.int64))
-    return empirical_mean_entropy(model, dataset)

@@ -43,6 +43,7 @@ mixture) or ``file:PATH`` pointing at a mixture definition file:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -243,10 +244,13 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig, base_dir: Path) -> None:
-    if cfg.train_n < 1 or cfg.val_n < 0:
+    if cfg.train_n < 1:
         raise ValidationError(
-            f"train_n must be >= 1 and val_n >= 0, got {cfg.train_n}, {cfg.val_n}", field="experiment"
+            f"train_n must be >= 1, got {cfg.train_n}", field="experiment.train_n"
         )
+    # every pipeline samples the validation set, and sampling needs a row
+    if cfg.val_n < 1:
+        raise ValidationError(f"val_n must be >= 1, got {cfg.val_n}", field="experiment.val_n")
     if not cfg.seeds:
         raise ValidationError("seed list may not be empty", field="experiment.seeds")
     if not 0.0 < cfg.delta < 0.5:
@@ -264,6 +268,25 @@ def _validate_config(cfg: ExperimentConfig, base_dir: Path) -> None:
     for kind in cfg.bounds_kinds:
         if kind not in ("weight_norm", "entropy_deviation", "empirical_weight_norm"):
             raise ValidationError(f"unknown bound kind {kind!r}", field="bounds.kinds")
+    # the minimums verify_bound and expected_entropy_mc enforce
+    if cfg.bounds_trials < 100:
+        raise ValidationError(
+            f"trials must be >= 100, got {cfg.bounds_trials}", field="bounds.trials"
+        )
+    if cfg.bounds_entropy_draws < 100:
+        raise ValidationError(
+            f"entropy_draws must be >= 100, got {cfg.bounds_entropy_draws}",
+            field="bounds.entropy_draws",
+        )
+    if any(n < 1 for n in cfg.bounds_sample_counts):
+        raise ValidationError(
+            f"sample counts must be >= 1, got {cfg.bounds_sample_counts}",
+            field="bounds.sample_counts",
+        )
+    if not all(math.isfinite(s) and s > 0 for s in cfg.bounds_scales):
+        raise ValidationError(
+            f"scales must be finite and > 0, got {cfg.bounds_scales}", field="bounds.scales"
+        )
     for frac in cfg.noise_fractions + cfg.data_fractions:
         if not 0.0 <= frac <= 1.0:
             raise ValidationError(f"fractions must lie in [0, 1], got {frac}", field="sweep")

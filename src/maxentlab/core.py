@@ -34,7 +34,7 @@ import numpy as np
 from ._streams import ENTROPY_MC, derive_rng
 from .datasets import LabeledDataset
 from .errors import DomainError, NonFiniteError, ShapeError
-from .mixtures import GaussianMixture, sample
+from .mixtures import GaussianMixture, _pushforward, spectral_factor, validate
 
 # Probabilities are floored at this value inside logarithms; exp(-690) level
 # underflow would otherwise produce -inf * 0 artifacts.
@@ -173,31 +173,16 @@ def expected_entropy_mc(
 
     Returns (estimate, standard error of the mean). The draws come from a
     stream derived from ``seed`` and are independent of any dataset stream.
-    This is the hot loop of bound verification, so the feature draw and the
-    logit map are fused per mixture component: with spectral factor L_c and
-    effective weights V = W A, logits are V mu_c + (z L_c') V' without ever
-    materializing the features.
+    Prediction entropy depends on an input only through its logits V x, with
+    effective weights V = W A, and the logits of a Gaussian mixture are the
+    Gaussian mixture with means V mu_c and covariances V Sigma_c V' in R^C.
+    So the draws are taken there directly: no feature vector is formed, and
+    each draw costs min(C, n) normals instead of n (see ``_logit_entropies``).
     """
     if draws < 100:
         raise DomainError(f"draws must be >= 100, got {draws}")
-    from .mixtures import spectral_factor, validate
-
     validate(mixture)
-    rng = derive_rng(seed, ENTROPY_MC)
-    v = model.weights if model.feature_map is None else model.weights @ model.feature_map
-    if v.shape[1] != mixture.dim:
-        raise ShapeError(f"mixture dim {mixture.dim} does not match model input {v.shape[1]}")
-    weights = mixture.weights / mixture.weights.sum()
-    labels = rng.choice(mixture.count, size=draws, p=weights)
-    z = rng.standard_normal((draws, mixture.dim))
-    h = np.empty(draws, dtype=np.float64)
-    for c in range(mixture.count):
-        idx = np.nonzero(labels == c)[0]
-        if idx.size == 0:
-            continue
-        logit_map = (spectral_factor(mixture.covariances[c]).T @ v.T)
-        logits = z[idx] @ logit_map + v @ mixture.means[c]
-        h[idx] = _entropy_from_logits(logits)
+    h = _logit_entropies(model, mixture, draws, derive_rng(seed, ENTROPY_MC))
     # the mean of a sample lies in its hull; clamping removes summation round-off
     # so a constant integrand is estimated exactly with zero standard error
     low, high = float(h.min()), float(h.max())
@@ -206,28 +191,54 @@ def expected_entropy_mc(
     return estimate, std / float(np.sqrt(draws))
 
 
-def _entropy_from_logits(logits: np.ndarray) -> np.ndarray:
-    """H(softmax(z)) = logsumexp(z) - sum p * z, one log per row."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1)
-    h = np.log(total) - (e * shifted).sum(axis=1) / total
-    return np.clip(h, 0.0, float(np.log(logits.shape[1])))
+# Most draws per logit block: a block's temporaries are (C, _BLOCK) arrays, so
+# the working set stays a few MB whatever the draw count and component weights.
+_BLOCK = 16384
 
 
-def _sample_with_rng(mixture: GaussianMixture, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Feature-only sampling on a caller-provided generator (no label bookkeeping)."""
-    from .mixtures import spectral_factor, validate
+def _logit_entropies(
+    model: LinearSoftmaxModel, mixture: GaussianMixture, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Prediction entropies of ``count`` i.i.d. draws from a validated mixture.
 
-    validate(mixture)
-    labels = rng.choice(mixture.count, size=count, p=mixture.weights / mixture.weights.sum())
-    z = rng.standard_normal((count, mixture.dim))
-    x = np.empty((count, mixture.dim), dtype=np.float64)
-    for c in range(mixture.count):
-        idx = np.nonzero(labels == c)[0]
-        if idx.size:
-            x[idx] = mixture.means[c] + z[idx] @ spectral_factor(mixture.covariances[c]).T
-    return x
+    The mixture is pushed forward through V = W A, component counts come from
+    one multinomial draw, and each component's draws are made in blocks: a
+    (k, m) block of standard normals, k = min(C, n), mapped through the top-k
+    spectral factor of V Sigma_c V' (whose rank is at most k) and shifted by
+    V mu_c gives m logit columns, reduced to entropies at once. Entropies come
+    back grouped by component, which leaves their mean and spread unchanged.
+    """
+    v = model.weights if model.feature_map is None else model.weights @ model.feature_map
+    if v.shape[1] != mixture.dim:
+        raise ShapeError(f"mixture dim {mixture.dim} does not match model input {v.shape[1]}")
+    pushed = _pushforward(mixture, v)
+    rank = min(v.shape)
+    factors = spectral_factor(pushed.covariances)[:, :, -rank:]
+    counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
+    h = np.empty(count, dtype=np.float64)
+    start = 0
+    for mean, factor, total in zip(pushed.means, factors, counts):
+        for offset in range(0, total, _BLOCK):
+            size = min(_BLOCK, total - offset)
+            logits = factor @ rng.standard_normal((rank, size))
+            logits += mean[:, None]
+            h[start : start + size] = _column_entropies(logits)
+            start += size
+    return h
+
+
+def _column_entropies(logits: np.ndarray) -> np.ndarray:
+    """H(softmax(z)) = logsumexp(z) - sum p * z for each column z of a (C, m) block.
+
+    Works in place on ``logits``. Reductions run over axis 0, which numpy
+    vectorizes across the columns; over short rows they would cost more than
+    the exp.
+    """
+    logits -= logits.max(axis=0)
+    e = np.exp(logits)
+    total = e.sum(axis=0)
+    h = np.log(total) - (e * logits).sum(axis=0) / total
+    return np.clip(h, 0.0, float(np.log(logits.shape[0])))
 
 
 def _check_labels(dataset: LabeledDataset, class_count: int) -> None:

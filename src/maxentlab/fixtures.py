@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._streams import FIXTURE, derive_rng
+from .errors import DomainError
 from .mixtures import GaussianMixture, recenter_zero_mean, validate
 
 DEFAULT_DIM = 16
@@ -64,7 +65,10 @@ def make_spectrum_fixture(
     rng = derive_rng(seed, FIXTURE, 1)
     signal_dims = dim - nuisance_dims
     if signal_dims < components - 1:
-        raise ValueError("need dim - nuisance_dims >= components - 1 for separable means")
+        raise DomainError(
+            f"spectrum fixture needs dim - {nuisance_dims} >= components - 1 for separable "
+            f"means, got dim={dim}, components={components}"
+        )
     directions = rng.standard_normal((components, signal_dims))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = np.zeros((components, dim))

@@ -132,9 +132,13 @@ def _require_centered(mixture: GaussianMixture) -> None:
 
 
 def spectral_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix L with L L' = cov, via eigendecomposition with negatives clamped to 0."""
+    """Matrix L with L L' = cov, via eigendecomposition with negatives clamped to 0.
+
+    A stack of covariances (..., n, n) gives the stack of factors. Columns
+    follow ascending eigenvalues, so the last k span the top-k eigenspace.
+    """
     lam, vec = np.linalg.eigh(cov)
-    return vec * np.sqrt(np.clip(lam, 0.0, None))
+    return vec * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
 
 
 def sample(mixture: GaussianMixture, count: int, seed: int) -> LabeledDataset:
@@ -204,6 +208,11 @@ def linear_pushforward(mixture: GaussianMixture, matrix: np.ndarray) -> Gaussian
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != mixture.dim:
         raise ShapeError(f"matrix must be (k, {mixture.dim}), got {a.shape}")
+    return _pushforward(mixture, a)
+
+
+def _pushforward(mixture: GaussianMixture, a: np.ndarray) -> GaussianMixture:
+    """linear_pushforward without re-validating a mixture the caller already checked."""
     means = mixture.means @ a.T
     covs = np.einsum("pj,ijk,qk->ipq", a, mixture.covariances, a)
     covs = (covs + np.swapaxes(covs, 1, 2)) / 2.0

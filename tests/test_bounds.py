@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxentlab.bounds import (
+    BOUND_KINDS,
     BoundQuery,
     cantelli_tail_bound,
     empirical_weight_norm_lower_bound,
@@ -19,7 +22,7 @@ from maxentlab.bounds import (
 )
 from maxentlab.core import LinearSoftmaxModel
 from maxentlab.errors import DomainError
-from maxentlab.mixtures import GaussianMixture
+from maxentlab.mixtures import GaussianMixture, recenter_zero_mean
 
 
 def unit_mixture(n=2):
@@ -208,8 +211,37 @@ class TestVerifyBound:
         with pytest.raises(DomainError):
             verify_bound("nope", unit_mixture(), uniform_model_sampler(3, 2), 10, 0.1, 100, 0)
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(DomainError):
+            verify_bound(
+                "empirical_weight_norm", unit_mixture(), uniform_model_sampler(3, 2), 0, 0.1, 100, 0
+            )
+
     def test_deterministic(self):
         sampler = uniform_model_sampler(3, 2)
         a = verify_bound("empirical_weight_norm", unit_mixture(), sampler, 100, 0.1, 100, 7)
         b = verify_bound("empirical_weight_norm", unit_mixture(), sampler, 100, 0.1, 100, 7)
         assert [(r.observed, r.bound) for r in a.rows] == [(r.observed, r.bound) for r in b.rows]
+
+    @given(
+        kind=st.sampled_from(BOUND_KINDS),
+        sample_count=st.integers(1, 300),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_rows_do_not_depend_on_threads(self, kind, sample_count, seed):
+        mix = recenter_zero_mean(
+            GaussianMixture(
+                np.array([0.3, 0.7]), np.array([[1.0, 0.0], [-0.3, 0.5]]), np.stack([np.eye(2)] * 2)
+            )
+        )
+        runs = [
+            verify_bound(
+                kind, mix, uniform_model_sampler(3, 2), sample_count, 0.1, trials=100,
+                seed=seed, entropy_draws=300, threads=threads,
+            )
+            for threads in (1, 2)
+        ]
+        one, two = ([vars(r) for r in run.rows] for run in runs)
+        assert one == two
+        assert runs[0].inapplicable_count == runs[1].inapplicable_count

@@ -141,6 +141,21 @@ class TestCliCommands:
     def test_missing_config_exits_nonzero(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, body",
+        [
+            (["bounds", "verify"], "[bounds]\ntrials = 50\n"),
+            (["synth"], "[mixture]\nsource = fixture_spectrum\ndim = 4\n"),
+        ],
+    )
+    def test_unrunnable_config_is_an_error(self, tmp_path, capsys, argv, body):
+        p = tmp_path / "cfg.cfg"
+        p.write_text(body)
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(p), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failure_leaves_no_partial_artifacts(self, tmp_path):
         # spectrum without a trainable feature map is a config error
         p = tmp_path / "cfg.cfg"

@@ -72,6 +72,22 @@ class TestParseErrors:
         with pytest.raises(ValidationError):
             parse_config("[mixture]\nsource = file:nope.mix\n", base_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[experiment]\nval_n = 0\n", "experiment.val_n"),
+            ("[bounds]\ntrials = 50\n", "bounds.trials"),
+            ("[bounds]\nentropy_draws = 50\n", "bounds.entropy_draws"),
+            ("[bounds]\nsample_counts = 100,0\n", "bounds.sample_counts"),
+            ("[bounds]\nscales = 0.1,-1.0\n", "bounds.scales"),
+            ("[bounds]\nscales = 1.0,inf\n", "bounds.scales"),
+        ],
+    )
+    def test_rejects_values_the_pipelines_cannot_run(self, text, field):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert err.value.field == field
+
 
 class TestLrParsing:
     def test_forms(self):
@@ -108,7 +124,7 @@ class TestRoundTrip:
             cfg = ExperimentConfig(
                 regime=str(rng.choice(["fine_grained", "large_scale"])),
                 train_n=int(rng.integers(1, 500)),
-                val_n=int(rng.integers(0, 500)),
+                val_n=int(rng.integers(1, 500)),
                 out_dir="runs/x",
                 seeds=tuple(int(s) for s in rng.integers(0, 100, size=rng.integers(1, 5))),
                 delta=float(rng.uniform(0.01, 0.49)),

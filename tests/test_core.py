@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxentlab.core import (
     LinearSoftmaxModel,
@@ -20,7 +22,10 @@ from maxentlab.core import (
 )
 from maxentlab.datasets import LabeledDataset
 from maxentlab.errors import DomainError, NonFiniteError, ShapeError
-from maxentlab.mixtures import GaussianMixture
+from maxentlab.fixtures import make_regime_fixtures
+from maxentlab.mixtures import GaussianMixture, sample
+
+from conftest import random_mixture
 
 
 def uniform_model(C=4, n=3):
@@ -140,6 +145,46 @@ class TestExpectedEntropyMc:
     def test_min_draws(self):
         with pytest.raises(DomainError):
             expected_entropy_mc(uniform_model(), std_normal_mixture(), 99, seed=0)
+
+    @given(
+        C=st.integers(2, 12),
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        draws=st.integers(100, 40_000),
+        seed=st.integers(0, 2**32),
+    )
+    @example(C=3, n=5, m=2, draws=100, seed=0)  # C <= n
+    @example(C=10, n=2, m=1, draws=33_000, seed=1)  # C > n, draws span several blocks
+    @settings(max_examples=25, deadline=None)
+    def test_zero_weights_give_log_c_exactly(self, C, n, m, draws, seed):
+        mix = random_mixture(np.random.default_rng(seed), n, m)
+        est, se = expected_entropy_mc(uniform_model(C, n), mix, draws, seed=seed)
+        assert est == math.log(C)
+        assert se == 0.0
+
+    @pytest.mark.parametrize("case", ["fine_fixture", "classes_exceed_dim", "feature_map"])
+    def test_agrees_with_feature_space_reference(self, case):
+        # the logit-space sampler against the plain route: sample features, then
+        # average the prediction entropies
+        rng = np.random.default_rng(11)
+        if case == "fine_fixture":
+            mix = make_regime_fixtures(7)[0]
+            model = LinearSoftmaxModel(rng.uniform(-10.0, 10.0, size=(10, 16)))
+        elif case == "classes_exceed_dim":
+            mix = random_mixture(rng, n=3, m=4)
+            model = LinearSoftmaxModel(rng.normal(size=(8, 3)))
+        else:
+            mix = make_regime_fixtures(7)[1]
+            model = LinearSoftmaxModel(
+                rng.normal(scale=0.5, size=(10, 6)), rng.normal(scale=0.5, size=(6, 16))
+            )
+        est, se = expected_entropy_mc(model, mix, 100_000, seed=3)
+        data = sample(mix, 50_000, seed=4)
+        ref = empirical_mean_entropy(model, data)
+        h = entropy_batch(predict_proba_batch(model, data.features))
+        ref_se = float(h.std(ddof=1)) / math.sqrt(data.size)
+        assert se > 0.0 and ref_se > 0.0
+        assert abs(est - ref) <= 4.0 * math.hypot(se, ref_se)
 
 
 class TestLosses:
