@@ -10,7 +10,6 @@ on synthetic low/high-diversity regimes.
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundQuery,
     cantelli_tail_bound,
     empirical_weight_norm_lower_bound,
     empirical_weight_norm_lower_bound_asymptotic,
@@ -60,7 +59,6 @@ from .training import (
     TrainConfig,
     TrainHistory,
     evaluate,
-    gamma_sweep,
     init_model,
     inject_label_noise,
     train,

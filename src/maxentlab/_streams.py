@@ -23,7 +23,7 @@ NOISE = 4        # label corruption
 ENTROPY_MC = 5   # Monte-Carlo entropy estimates
 FIXTURE = 6      # synthetic regime construction
 TRIAL = 7        # bound-verification trials
-PROPERTY = 8     # randomized property tests
+# 8 is reserved: it once addressed randomized property tests
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 

@@ -63,34 +63,6 @@ from .mixtures import GaussianMixture, fourth_moment_and_variance
 BOUND_KINDS = ("weight_norm", "entropy_deviation", "empirical_weight_norm")
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Scalar inputs shared by the bound evaluations."""
-
-    class_count: int
-    sample_count: int
-    delta: float
-    nu: float
-    var_sqnorm: float
-    w_l2: float
-    w_inf: float
-    mean_entropy: float
-    entropy_source: str = "expected"  # "expected" | "empirical"
-
-    def validated(self) -> "BoundQuery":
-        if not 0.0 < self.delta < 0.5:
-            raise DomainError(f"delta must lie in (0, 0.5), got {self.delta}")
-        if self.nu < 0:
-            raise DomainError(f"nu must be >= 0, got {self.nu}")
-        if self.var_sqnorm < 0:
-            raise DomainError(f"var_sqnorm must be >= 0, got {self.var_sqnorm}")
-        if self.w_inf > self.w_l2 * (1 + 1e-12) + 1e-12:
-            raise DomainError(f"w_inf={self.w_inf} exceeds w_l2={self.w_l2}")
-        if self.sample_count < 1:
-            raise DomainError(f"sample_count must be >= 1, got {self.sample_count}")
-        return self
-
-
 def weight_norm_lower_bound(class_count: int, mean_entropy: float, nu: float) -> float:
     """(ln C - mean_entropy) / (2 sqrt(nu)); compare against ||w||_2."""
     if nu <= 0:

@@ -27,7 +27,9 @@ default experiment.
     scales = 0.1,1.0,10.0
 
 ``source`` may also be ``fixture_spectrum`` (the trainable-feature-map
-mixture) or ``file:PATH`` pointing at a mixture definition file:
+mixture) or ``file:PATH`` pointing at a mixture definition file; a relative
+PATH is taken from the config file's directory, and the parsed config holds
+it as an absolute path:
 
     dim = 2
     [component]
@@ -44,12 +46,13 @@ mixture) or ``file:PATH`` pointing at a mixture definition file:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import IoError, ParseError, ValidationError
 from .fixtures import make_regime_fixtures, make_spectrum_fixture
 from .mixtures import GaussianMixture, validate
 from .training import LrSchedule, TrainConfig
@@ -142,8 +145,11 @@ def _as_int_list(value: str, line_no: int) -> tuple[int, ...]:
     return tuple(_as_int(v.strip(), line_no) for v in value.split(","))
 
 
-def _as_str_list(value: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in value.split(",") if v.strip())
+def _as_str_list(value: str, line_no: int) -> tuple[str, ...]:
+    items = tuple(v.strip() for v in value.split(",") if v.strip())
+    if not items:
+        raise ParseError("expected a comma-separated list", line_no)
+    return items
 
 
 def parse_lr(value: str, line_no: int = 0) -> LrSchedule:
@@ -226,7 +232,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         elif slot == "sweep.data_fractions":
             fields["data_fractions"] = _as_float_list(value, line_no)
         elif slot == "bounds.kinds":
-            fields["bounds_kinds"] = _as_str_list(value)
+            fields["bounds_kinds"] = _as_str_list(value, line_no)
         elif slot == "bounds.trials":
             fields["bounds_trials"] = _as_int(value, line_no)
         elif slot == "bounds.sample_counts":
@@ -238,12 +244,16 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         else:
             raise ValidationError(f"unknown key {key!r} in section [{section}]", field=slot)
 
+    src = fields.get("mixture_source", "")
+    if src.startswith("file:"):
+        # relative to the config file, not to the working directory
+        fields["mixture_source"] = "file:" + os.path.abspath(Path(base_dir) / src[len("file:") :])
     cfg = replace(cfg, train=train.validated(), **fields)
-    _validate_config(cfg, Path(base_dir))
+    _validate_config(cfg)
     return cfg
 
 
-def _validate_config(cfg: ExperimentConfig, base_dir: Path) -> None:
+def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.train_n < 1:
         raise ValidationError(
             f"train_n must be >= 1, got {cfg.train_n}", field="experiment.train_n"
@@ -262,9 +272,17 @@ def _validate_config(cfg: ExperimentConfig, base_dir: Path) -> None:
             field="mixture.source",
         )
     if src.startswith("file:"):
-        path = base_dir / src[len("file:") :]
+        path = Path(src[len("file:") :])
         if not path.is_file():
             raise ValidationError(f"mixture file not found: {path}", field="mixture.source")
+    else:
+        # a classifier needs two classes; the fixtures weight each component 1/components
+        if cfg.components < 2:
+            raise ValidationError(
+                f"components must be >= 2, got {cfg.components}", field="mixture.components"
+            )
+        if cfg.dim < 1:
+            raise ValidationError(f"dim must be >= 1, got {cfg.dim}", field="mixture.dim")
     for kind in cfg.bounds_kinds:
         if kind not in ("weight_norm", "entropy_deviation", "empirical_weight_norm"):
             raise ValidationError(f"unknown bound kind {kind!r}", field="bounds.kinds")
@@ -337,15 +355,19 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_mixture(cfg: ExperimentConfig, base_dir: str | Path = ".") -> GaussianMixture:
+def resolve_mixture(cfg: ExperimentConfig) -> GaussianMixture:
     """The mixture this experiment samples from, per regime and source."""
     if cfg.mixture_source == "fixture":
         fine, large = make_regime_fixtures(cfg.fixture_seed, cfg.dim, cfg.components)
         return fine if cfg.regime == "fine_grained" else large
     if cfg.mixture_source == "fixture_spectrum":
         return make_spectrum_fixture(cfg.fixture_seed, cfg.dim, cfg.components)
-    path = Path(base_dir) / cfg.mixture_source[len("file:") :]
-    return parse_mixture(path.read_text(encoding="utf-8"))
+    path = Path(cfg.mixture_source[len("file:") :])
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise IoError(f"cannot read mixture file {path}: {err}") from err
+    return parse_mixture(text)
 
 
 # ---------------------------------------------------------------------------

@@ -40,15 +40,6 @@ def csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: Path, header: str, rows) -> None:
-    text = csv_text(header, rows)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from err
-
-
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     """Header cells and raw string rows; callers coerce types themselves."""
     try:

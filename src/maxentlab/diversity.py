@@ -14,25 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotCenteredError, ShapeError
+from .errors import DomainError, ShapeError
 from .mixtures import GaussianMixture, overall_covariance
-
-EIG_SUM_TOL = 1e-8
 
 
 @dataclass(eq=False)
 class DiversityReport:
     """Diversity value plus the descending covariance spectrum behind it.
 
-    ``eigenvalues`` are clamped at zero for reporting; ``raw_eigenvalues``
-    keeps the signed round-off values for diagnostics.
+    ``eigenvalues`` are clamped at zero, so round-off never reports a
+    negative variance.
     """
 
     nu: float
     eigenvalues: np.ndarray
     source: str                     # "analytic" | "empirical"
     sample_count: int | None
-    raw_eigenvalues: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -40,24 +37,13 @@ class DiversityReport:
 
 
 def _report_from_covariance(cov: np.ndarray, source: str, sample_count: int | None) -> DiversityReport:
-    raw = np.linalg.eigvalsh(cov)[::-1].copy()
-    clamped = np.clip(raw, 0.0, None)
-    return DiversityReport(
-        nu=float(np.trace(cov)),
-        eigenvalues=clamped,
-        source=source,
-        sample_count=sample_count,
-        raw_eigenvalues=raw,
-    )
+    eigenvalues = np.clip(np.linalg.eigvalsh(cov)[::-1], 0.0, None)
+    return DiversityReport(float(np.trace(cov)), eigenvalues, source, sample_count)
 
 
 def analytic_diversity(mixture: GaussianMixture) -> DiversityReport:
     """Diversity of a zero-mean mixture: trace and spectrum of Sigma*."""
-    try:
-        cov = overall_covariance(mixture)
-    except NotCenteredError:
-        raise
-    return _report_from_covariance(cov, "analytic", None)
+    return _report_from_covariance(overall_covariance(mixture), "analytic", None)
 
 
 def empirical_covariance(features: np.ndarray) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Experiment pipelines behind the CLI: synth, train, figures, bounds, report.
 
-Every pipeline takes a resolved ExperimentConfig, runs its arms over the
-configured seeds (optionally thread-parallel; results are collected in seed
-order so thread count never changes output), writes plot-ready CSVs through
-an ArtifactSession, and finishes with a manifest. Training-based pipelines
-additionally emit a normalized ``summary.csv`` with one row per (arm, seed),
-which is what ``report`` merges across runs.
+``train`` and every figure kind are one declarative grid of training arms.
+``PIPELINES`` maps each to the arms it trains per seed and to a reducer that
+writes its plot-ready CSVs. One runner serves them all: it expands the seeds
+into ``ArmSpec``s, resolves the mixture once, trains every arm with
+``run_arm`` (optionally thread-parallel; results are collected in grid
+order, so thread count never changes output), calls the reducer, and writes
+a normalized ``summary.csv`` with one row per arm, which is what ``report``
+merges across runs. ``pc_scatter`` trains nothing: its grid is empty.
+Every pipeline writes through an ArtifactSession and finishes with a
+manifest.
 
 Dataset streams are fixed functions of the run seed: train and validation
 sets use distinct derived seeds, and label corruption has its own stream, so
@@ -27,15 +31,20 @@ from .checkpoint import save_checkpoint
 from .configio import ExperimentConfig, resolve_mixture, serialize_config, serialize_mixture
 from .csvio import csv_text, read_csv
 from .datasets import LabeledDataset, dataset_csv_lines
-from .diversity import empirical_diversity, spectrum_csv_rows, spectrum_tail_mass, top_principal_components
-from .errors import ManifestError, ValidationError
+from .diversity import (
+    DiversityReport,
+    empirical_diversity,
+    spectrum_csv_rows,
+    spectrum_tail_mass,
+    top_principal_components,
+)
+from .errors import DivergenceError, ManifestError, ValidationError
+from .fixtures import make_regime_fixtures
 from .manifest import ArtifactSession, load_manifest
 from .mixtures import GaussianMixture, sample
 from .training import (
     HISTORY_CSV_HEADER,
-    SWEEP_CSV_HEADER,
     EvalReport,
-    TrainConfig,
     TrainHistory,
     evaluate,
     init_model,
@@ -48,17 +57,7 @@ SUMMARY_CSV_HEADER = (
     "regime,figure,objective,gamma,epsilon,noise_fraction,data_fraction,seed,"
     "val_acc,val_ce,val_entropy,train_ce,train_entropy,top_prob_mean,w_l2,tail_mass"
 )
-
-FIGURE_KINDS = (
-    "pc_scatter",
-    "spectrum",
-    "top_prob_hist",
-    "gamma_sweep",
-    "noise_sweep",
-    "ce_vs_val",
-    "data_fraction_sweep",
-    "lsr_compare",
-)
+SWEEP_CSV_HEADER = "gamma,val_acc,val_entropy,w_l2"
 
 
 def train_dataset_seed(seed: int) -> int:
@@ -71,6 +70,18 @@ def val_dataset_seed(seed: int) -> int:
 
 def noise_seed(seed: int) -> int:
     return seed * 77 + 5
+
+
+@dataclass(frozen=True)
+class ArmSpec:
+    """One training run of a pipeline; its fields are ``run_arm``'s arguments."""
+
+    figure: str
+    seed: int
+    objective: str = "maxent"
+    gamma: float | None = None
+    noise_fraction: float = 0.0
+    data_fraction: float = 1.0
 
 
 @dataclass(eq=False)
@@ -87,6 +98,8 @@ class ArmResult:
     model: object
     val_report: EvalReport
     tail_mass: float | None = None
+    # validation-set spectrum of the learned features, when a feature map is trained
+    spectrum: DiversityReport | None = None
 
     def summary_row(self) -> tuple:
         return (
@@ -104,7 +117,7 @@ class ArmResult:
             self.history.final.train_ce,
             self.history.final.train_entropy,
             self.val_report.top_prob_mean,
-            float(np.linalg.norm(self.model.weights)),
+            self.model.w_l2(),
             self.tail_mass,
         )
 
@@ -124,10 +137,8 @@ def run_arm(
     seed: int,
     objective: str = "maxent",
     gamma: float | None = None,
-    epsilon: float | None = None,
     noise_fraction: float = 0.0,
     data_fraction: float = 1.0,
-    regime: str | None = None,
 ) -> ArmResult:
     """One training run; all arms at a given seed share datasets."""
     tr, va = make_datasets(mixture, cfg, seed)
@@ -137,10 +148,7 @@ def run_arm(
         tr = tr.subset(np.arange(int(np.floor(data_fraction * tr.size))))
     tc = cfg.train
     effective_gamma = tc.gamma if gamma is None else float(gamma)
-    effective_eps = tc.lsr_epsilon if epsilon is None else float(epsilon)
-    run_cfg = dataclasses.replace(
-        tc, objective=objective, gamma=effective_gamma, lsr_epsilon=effective_eps, seed=seed
-    )
+    run_cfg = dataclasses.replace(tc, objective=objective, gamma=effective_gamma, seed=seed)
     model0 = init_model(
         mixture.count,
         mixture.dim,
@@ -151,16 +159,16 @@ def run_arm(
     )
     trained, history = train(model0, tr, va, run_cfg)
     report = evaluate(trained, va)
-    tail = None
+    spectrum = tail = None
     if trained.feature_map is not None:
-        feats = va.features @ trained.feature_map.T
-        tail = spectrum_tail_mass(empirical_diversity(feats), max(1, mixture.dim // 4))
+        spectrum = empirical_diversity(va.features @ trained.feature_map.T)
+        tail = spectrum_tail_mass(spectrum, max(1, mixture.dim // 4))
     return ArmResult(
-        regime=regime or cfg.regime,
+        regime=cfg.regime,
         figure=figure,
         objective=objective if objective != "maxent" or effective_gamma > 0 else "ce",
         gamma=effective_gamma if objective == "maxent" else 0.0,
-        epsilon=effective_eps if objective == "lsr" else None,
+        epsilon=tc.lsr_epsilon if objective == "lsr" else None,
         noise_fraction=noise_fraction,
         data_fraction=data_fraction,
         seed=seed,
@@ -168,6 +176,7 @@ def run_arm(
         model=trained,
         val_report=report,
         tail_mass=tail,
+        spectrum=spectrum,
     )
 
 
@@ -184,14 +193,194 @@ def _open_session(cfg: ExperimentConfig, out_dir: Path, command: str) -> Artifac
     return ArtifactSession(out_dir, command, serialize_config(cfg), __version__)
 
 
-def _write_summary(session: ArtifactSession, results: list[ArmResult]) -> None:
+def _median(values) -> float:
+    return float(np.median(np.asarray(values, dtype=np.float64)))
+
+
+# ---------------------------------------------------------------------------
+# The arm grid: per pipeline, the arms it trains at each seed and a reducer
+# that writes its CSVs from the trained arms
+# ---------------------------------------------------------------------------
+
+
+def _label(res: ArmResult) -> str:
+    return "ce" if res.gamma == 0.0 else "maxent"
+
+
+def _accuracy(arms) -> float:
+    return _median([r.val_report.accuracy for r in arms])
+
+
+def _reduce_train(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
+    session.write_text("mixture.txt", serialize_mixture(mixture))
+    for res in results:
+        history = csv_text(HISTORY_CSV_HEADER, res.history.csv_rows())
+        session.write_text(f"history_seed{res.seed}.csv", history)
+        save_checkpoint(res.model, session.path(f"model_seed{res.seed}.ckpt"))
+
+
+def _reduce_pc_scatter(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
+    """Top-2 principal components of both regimes in one shared basis."""
+    fine, large = make_regime_fixtures(cfg.fixture_seed, cfg.dim, cfg.components)
+    fine_ds = sample(fine, cfg.val_n, seed=val_dataset_seed(seeds[0]))
+    large_ds = sample(large, cfg.val_n, seed=val_dataset_seed(seeds[0]) + 1)
+    pooled = np.vstack([fine_ds.features, large_ds.features])
+    projected, ratios = top_principal_components(pooled, 2)
+    split = fine_ds.size
+    stats_rows = []
+    for regime, name, block, labels in (
+        ("fine_grained", "pc_scatter_fine.csv", projected[:split], fine_ds.labels),
+        ("large_scale", "pc_scatter_large.csv", projected[split:], large_ds.labels),
+    ):
+        rows = [(float(p[0]), float(p[1]), int(lab)) for p, lab in zip(block, labels)]
+        session.write_text(name, csv_text("pc1,pc2,label", rows))
+        plane_var = float(block.var(axis=0).sum())
+        stats_rows.append((regime, plane_var, float(ratios[0]), float(ratios[1])))
     session.write_text(
-        SUMMARY_CSV_NAME, csv_text(SUMMARY_CSV_HEADER, [r.summary_row() for r in results])
+        "pc_summary.csv", csv_text("regime,plane_variance,ratio_pc1,ratio_pc2", stats_rows)
     )
 
 
-def _median(values) -> float:
-    return float(np.median(np.asarray(values, dtype=np.float64)))
+def _reduce_spectrum(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
+    """Eigenvalue spectra of learned features: untrained vs gamma=0 vs gamma=1."""
+    session.write_text("mixture.txt", serialize_mixture(mixture))
+    k = max(1, mixture.dim // 4)
+    spectra = []
+    for seed in seeds:
+        rep = empirical_diversity(sample(mixture, cfg.val_n, seed=val_dataset_seed(seed)).features)
+        spectra.append(("none", seed, rep, spectrum_tail_mass(rep, k)))
+    spectra += [(_label(r), r.seed, r.spectrum, r.tail_mass) for r in results]
+    tails: dict[str, list[float]] = {"none": [], "ce": [], "maxent": []}
+    for label, seed, rep, tail in spectra:
+        session.write_text(
+            f"spectrum_{label}_seed{seed}.csv",
+            csv_text("rank,eigenvalue,log_eigenvalue", spectrum_csv_rows(rep)),
+        )
+        tails[label].append(tail)
+    rows = [(arm, k, _median(values)) for arm, values in tails.items() if values]
+    session.write_text("spectrum_tails.csv", csv_text("arm,k,median_tail_mass", rows))
+
+
+def _reduce_top_prob_hist(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
+    edges = np.linspace(0.0, 1.0, 21)
+    for res in results:
+        counts = res.val_report.top_prob_histogram
+        rows = [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)]
+        session.write_text(
+            f"top_prob_hist_{_label(res)}_seed{res.seed}.csv", csv_text("bin_lo,bin_hi,count", rows)
+        )
+    med = [
+        (label, _median([r.val_report.top_prob_mean for r in results if _label(r) == label]))
+        for label in ("ce", "maxent")
+    ]
+    session.write_text("top_prob_means.csv", csv_text("arm,median_top_prob_mean", med))
+
+
+def _reduce_gamma_sweep(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
+    def row(gamma: float, arms: list[ArmResult]) -> tuple:
+        entropy = _median([r.val_report.mean_entropy for r in arms])
+        return (gamma, _accuracy(arms), entropy, _median([r.model.w_l2() for r in arms]))
+
+    for seed in dict.fromkeys(seeds):
+        rows = [row(r.gamma, [r]) for r in results if r.seed == seed]
+        session.write_text(f"sweep_seed{seed}.csv", csv_text(SWEEP_CSV_HEADER, rows))
+    medians = [row(g, [r for r in results if r.gamma == g]) for g in cfg.gammas]
+    session.write_text("sweep_medians.csv", csv_text(SWEEP_CSV_HEADER, medians))
+
+
+def _reduce_noise_sweep(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
+    rows = [
+        (f, g, _accuracy([r for r in results if r.noise_fraction == f and r.gamma == g]))
+        for f in cfg.noise_fractions
+        for g in (0.0, cfg.train.gamma)
+    ]
+    session.write_text("noise_medians.csv", csv_text("noise_fraction,gamma,median_val_acc", rows))
+
+
+def _reduce_ce_vs_val(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
+    for res in results:
+        history = csv_text(HISTORY_CSV_HEADER, res.history.csv_rows())
+        session.write_text(f"history_{_label(res)}_seed{res.seed}.csv", history)
+
+
+def _reduce_data_fraction_sweep(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
+    fracs = cfg.data_fractions
+    rows = [(f, _accuracy([r for r in results if r.data_fraction == f])) for f in fracs]
+    session.write_text("data_fraction_medians.csv", csv_text("data_fraction,median_val_acc", rows))
+
+
+def _reduce_lsr_compare(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
+    labels = ("ce", "maxent", "lsr")
+    acc = {label: _accuracy([r for r in results if r.objective == label]) for label in labels}
+    rows = [(label, acc[label], acc[label] - acc["ce"]) for label in labels]
+    session.write_text("lsr_compare.csv", csv_text("objective,median_val_acc,gain_over_ce", rows))
+
+
+def _two_gammas(cfg: ExperimentConfig) -> list[dict]:
+    return [dict(gamma=0.0), dict(gamma=cfg.train.gamma)]
+
+
+def _spectrum_arms(cfg: ExperimentConfig) -> list[dict]:
+    if not cfg.train.train_feature_map:
+        raise ValidationError(
+            "spectrum figure requires train.train_feature_map = true",
+            field="train.train_feature_map",
+        )
+    return _two_gammas(cfg)
+
+
+# pipeline -> (its arms at one seed, as ArmSpec fields; its reducer)
+PIPELINES = {
+    "train": (lambda c: [dict(objective=c.train.objective, gamma=c.train.gamma)], _reduce_train),
+    "pc_scatter": (lambda c: [], _reduce_pc_scatter),
+    "spectrum": (_spectrum_arms, _reduce_spectrum),
+    "top_prob_hist": (_two_gammas, _reduce_top_prob_hist),
+    "gamma_sweep": (lambda c: [dict(gamma=g) for g in c.gammas], _reduce_gamma_sweep),
+    "noise_sweep": (
+        lambda c: [
+            dict(gamma=g, noise_fraction=f) for f in c.noise_fractions for g in (0.0, c.train.gamma)
+        ],
+        _reduce_noise_sweep,
+    ),
+    "ce_vs_val": (_two_gammas, _reduce_ce_vs_val),
+    "data_fraction_sweep": (
+        lambda c: [dict(gamma=c.train.gamma, data_fraction=f) for f in c.data_fractions],
+        _reduce_data_fraction_sweep,
+    ),
+    "lsr_compare": (
+        lambda c: _two_gammas(c) + [dict(objective="lsr", gamma=c.train.gamma)],
+        _reduce_lsr_compare,
+    ),
+}
+
+FIGURE_KINDS = tuple(kind for kind in PIPELINES if kind != "train")
+
+
+def _train_arm(mixture: GaussianMixture, cfg: ExperimentConfig, arm: ArmSpec) -> ArmResult:
+    try:
+        return run_arm(mixture, cfg, **dataclasses.asdict(arm))
+    except DivergenceError as err:
+        raise DivergenceError(f"{arm}: {err}", epoch=err.epoch, batch=err.batch) from err
+
+
+def _run_grid(cfg: ExperimentConfig, kind: str, command: str, out_dir: Path, seeds, threads):
+    """Train ``kind``'s arm grid, reduce it to CSVs, write summary.csv and the manifest."""
+    seeds = list(seeds)
+    arms_at_seed, reduce = PIPELINES[kind]
+    per_seed = arms_at_seed(cfg)
+    arms = [ArmSpec(kind, seed, **arm) for seed in seeds for arm in per_seed]
+    with _open_session(cfg, out_dir, command) as session:
+        mixture, results = None, []
+        if arms:
+            mixture = resolve_mixture(cfg)
+            tasks = [lambda a=arm: _train_arm(mixture, cfg, a) for arm in arms]
+            results = _parallel(tasks, threads)
+            session.mark_stage("train")
+        reduce(cfg, session, seeds, mixture, results)
+        rows = [r.summary_row() for r in results]
+        session.write_text(SUMMARY_CSV_NAME, csv_text(SUMMARY_CSV_HEADER, rows))
+        session.mark_stage("write")
+        return session.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +390,7 @@ def _median(values) -> float:
 
 def run_synth(cfg: ExperimentConfig, out_dir: Path, seeds, threads: int = 1) -> Path:
     mixture = resolve_mixture(cfg)
-    session = _open_session(cfg, out_dir, "synth")
-    try:
+    with _open_session(cfg, out_dir, "synth") as session:
         session.write_text("mixture.txt", serialize_mixture(mixture))
         for seed in seeds:
             tr, va = make_datasets(mixture, cfg, seed)
@@ -210,279 +398,22 @@ def run_synth(cfg: ExperimentConfig, out_dir: Path, seeds, threads: int = 1) -> 
             session.write_text(f"val_seed{seed}.csv", "\n".join(dataset_csv_lines(va)) + "\n")
         session.mark_stage("synth")
         return session.finish()
-    except BaseException:
-        session.abort()
-        raise
 
 
 def run_train(cfg: ExperimentConfig, out_dir: Path, seeds, threads: int = 1) -> Path:
-    mixture = resolve_mixture(cfg)
-    session = _open_session(cfg, out_dir, "train")
-    try:
-        session.write_text("mixture.txt", serialize_mixture(mixture))
-        tasks = [
-            (lambda s=seed: run_arm(mixture, cfg, "train", s, objective=cfg.train.objective))
-            for seed in seeds
-        ]
-        results = _parallel(tasks, threads)
-        session.mark_stage("train")
-        for res in results:
-            session.write_text(
-                f"history_seed{res.seed}.csv",
-                csv_text(HISTORY_CSV_HEADER, res.history.csv_rows()),
-            )
-            save_checkpoint(res.model, session.path(f"model_seed{res.seed}.ckpt"))
-        _write_summary(session, results)
-        session.mark_stage("write")
-        return session.finish()
-    except BaseException:
-        session.abort()
-        raise
+    return _run_grid(cfg, "train", "train", out_dir, seeds, threads)
 
 
 def run_figure(cfg: ExperimentConfig, kind: str, out_dir: Path, seeds, threads: int = 1) -> Path:
     if kind not in FIGURE_KINDS:
         raise ValidationError(f"unknown figure kind {kind!r}", field="figure")
-    session = _open_session(cfg, out_dir, f"figure {kind}")
-    try:
-        runner = globals()[f"_figure_{kind}"]
-        runner(cfg, session, list(seeds), threads)
-        return session.finish()
-    except BaseException:
-        session.abort()
-        raise
-
-
-def _figure_pc_scatter(cfg: ExperimentConfig, session: ArtifactSession, seeds, threads) -> None:
-    """Top-2 principal components of both regimes in one shared basis."""
-    from .fixtures import make_regime_fixtures
-
-    fine, large = make_regime_fixtures(cfg.fixture_seed, cfg.dim, cfg.components)
-    seed = seeds[0]
-    fine_ds = sample(fine, cfg.val_n, seed=val_dataset_seed(seed))
-    large_ds = sample(large, cfg.val_n, seed=val_dataset_seed(seed) + 1)
-    pooled = np.vstack([fine_ds.features, large_ds.features])
-    projected, ratios = top_principal_components(pooled, 2)
-    split = fine_ds.size
-    for name, block, labels in (
-        ("pc_scatter_fine.csv", projected[:split], fine_ds.labels),
-        ("pc_scatter_large.csv", projected[split:], large_ds.labels),
-    ):
-        rows = [(float(p[0]), float(p[1]), int(lab)) for p, lab in zip(block, labels)]
-        session.write_text(name, csv_text("pc1,pc2,label", rows))
-    stats_rows = []
-    for regime, block in (("fine_grained", projected[:split]), ("large_scale", projected[split:])):
-        plane_var = float(block.var(axis=0).sum())
-        stats_rows.append((regime, plane_var, float(ratios[0]), float(ratios[1])))
-    session.write_text(
-        "pc_summary.csv", csv_text("regime,plane_variance,ratio_pc1,ratio_pc2", stats_rows)
-    )
-    session.write_text(SUMMARY_CSV_NAME, csv_text(SUMMARY_CSV_HEADER, []))
-    session.mark_stage("pc_scatter")
-
-
-def _figure_spectrum(cfg: ExperimentConfig, session: ArtifactSession, seeds, threads) -> None:
-    """Eigenvalue spectra of learned features: untrained vs gamma=0 vs gamma=1."""
-    if not cfg.train.train_feature_map:
-        raise ValidationError(
-            "spectrum figure requires train.train_feature_map = true", field="train.train_feature_map"
-        )
-    mixture = resolve_mixture(cfg)
-    session.write_text("mixture.txt", serialize_mixture(mixture))
-
-    def arm(seed: int, gamma: float) -> ArmResult:
-        return run_arm(mixture, cfg, "spectrum", seed, objective="maxent", gamma=gamma)
-
-    tasks = []
-    for seed in seeds:
-        tasks.append(lambda s=seed: arm(s, 0.0))
-        tasks.append(lambda s=seed: arm(s, cfg.train.gamma))
-    results = _parallel(tasks, threads)
-    session.mark_stage("train")
-
-    k = max(1, cfg.dim // 4)
-    all_rows: list[ArmResult] = []
-    tail_by_arm: dict[str, list[float]] = {"none": [], "ce": [], "maxent": []}
-    for seed in seeds:
-        va = sample(mixture, cfg.val_n, seed=val_dataset_seed(seed))
-        raw_rep = empirical_diversity(va.features)
-        session.write_text(
-            f"spectrum_none_seed{seed}.csv",
-            csv_text("rank,eigenvalue,log_eigenvalue", spectrum_csv_rows(raw_rep)),
-        )
-        tail_by_arm["none"].append(spectrum_tail_mass(raw_rep, k))
-    for res in results:
-        label = "ce" if res.gamma == 0.0 else "maxent"
-        feats = sample(mixture, cfg.val_n, seed=val_dataset_seed(res.seed)).features
-        rep = empirical_diversity(feats @ res.model.feature_map.T)
-        session.write_text(
-            f"spectrum_{label}_seed{res.seed}.csv",
-            csv_text("rank,eigenvalue,log_eigenvalue", spectrum_csv_rows(rep)),
-        )
-        tail_by_arm[label].append(spectrum_tail_mass(rep, k))
-        all_rows.append(res)
-    med_rows = [(arm, k, _median(tails)) for arm, tails in tail_by_arm.items() if tails]
-    session.write_text("spectrum_tails.csv", csv_text("arm,k,median_tail_mass", med_rows))
-    _write_summary(session, all_rows)
-    session.mark_stage("write")
-
-
-def _two_gamma_results(
-    cfg: ExperimentConfig, figure: str, seeds, threads, mixture=None
-) -> list[ArmResult]:
-    mixture = resolve_mixture(cfg) if mixture is None else mixture
-    tasks = []
-    for seed in seeds:
-        tasks.append(lambda s=seed: run_arm(mixture, cfg, figure, s, gamma=0.0))
-        tasks.append(lambda s=seed: run_arm(mixture, cfg, figure, s, gamma=cfg.train.gamma))
-    return _parallel(tasks, threads)
-
-
-def _figure_top_prob_hist(cfg: ExperimentConfig, session: ArtifactSession, seeds, threads) -> None:
-    results = _two_gamma_results(cfg, "top_prob_hist", seeds, threads)
-    session.mark_stage("train")
-    edges = np.linspace(0.0, 1.0, 21)
-    for res in results:
-        label = "ce" if res.gamma == 0.0 else "maxent"
-        rows = [
-            (float(edges[i]), float(edges[i + 1]), int(c))
-            for i, c in enumerate(res.val_report.top_prob_histogram)
-        ]
-        session.write_text(
-            f"top_prob_hist_{label}_seed{res.seed}.csv", csv_text("bin_lo,bin_hi,count", rows)
-        )
-    med = [
-        (label, _median([r.val_report.top_prob_mean for r in results if (r.gamma == 0.0) == (label == "ce")]))
-        for label in ("ce", "maxent")
-    ]
-    session.write_text("top_prob_means.csv", csv_text("arm,median_top_prob_mean", med))
-    _write_summary(session, results)
-    session.mark_stage("write")
-
-
-def _figure_gamma_sweep(cfg: ExperimentConfig, session: ArtifactSession, seeds, threads) -> None:
-    mixture = resolve_mixture(cfg)
-    tasks = []
-    for seed in seeds:
-        for gamma in cfg.gammas:
-            tasks.append(lambda s=seed, g=gamma: run_arm(mixture, cfg, "gamma_sweep", s, gamma=g))
-    results = _parallel(tasks, threads)
-    session.mark_stage("train")
-    per_seed: dict[int, list[ArmResult]] = {}
-    for res in results:
-        per_seed.setdefault(res.seed, []).append(res)
-    for seed, arm_list in per_seed.items():
-        rows = [
-            (r.gamma, r.val_report.accuracy, r.val_report.mean_entropy, float(np.linalg.norm(r.model.weights)))
-            for r in arm_list
-        ]
-        session.write_text(f"sweep_seed{seed}.csv", csv_text(SWEEP_CSV_HEADER, rows))
-    med_rows = []
-    for gamma in cfg.gammas:
-        sel = [r for r in results if r.gamma == gamma]
-        med_rows.append(
-            (
-                gamma,
-                _median([r.val_report.accuracy for r in sel]),
-                _median([r.val_report.mean_entropy for r in sel]),
-                _median([float(np.linalg.norm(r.model.weights)) for r in sel]),
-            )
-        )
-    session.write_text("sweep_medians.csv", csv_text(SWEEP_CSV_HEADER, med_rows))
-    _write_summary(session, results)
-    session.mark_stage("write")
-
-
-def _figure_noise_sweep(cfg: ExperimentConfig, session: ArtifactSession, seeds, threads) -> None:
-    mixture = resolve_mixture(cfg)
-    tasks = []
-    for seed in seeds:
-        for frac in cfg.noise_fractions:
-            for gamma in (0.0, cfg.train.gamma):
-                tasks.append(
-                    lambda s=seed, f=frac, g=gamma: run_arm(
-                        mixture, cfg, "noise_sweep", s, gamma=g, noise_fraction=f
-                    )
-                )
-    results = _parallel(tasks, threads)
-    session.mark_stage("train")
-    med_rows = []
-    for frac in cfg.noise_fractions:
-        for gamma in (0.0, cfg.train.gamma):
-            sel = [r for r in results if r.noise_fraction == frac and r.gamma == gamma]
-            med_rows.append((frac, gamma, _median([r.val_report.accuracy for r in sel])))
-    session.write_text("noise_medians.csv", csv_text("noise_fraction,gamma,median_val_acc", med_rows))
-    _write_summary(session, results)
-    session.mark_stage("write")
-
-
-def _figure_ce_vs_val(cfg: ExperimentConfig, session: ArtifactSession, seeds, threads) -> None:
-    results = _two_gamma_results(cfg, "ce_vs_val", seeds, threads)
-    session.mark_stage("train")
-    for res in results:
-        label = "ce" if res.gamma == 0.0 else "maxent"
-        session.write_text(
-            f"history_{label}_seed{res.seed}.csv",
-            csv_text(HISTORY_CSV_HEADER, res.history.csv_rows()),
-        )
-    _write_summary(session, results)
-    session.mark_stage("write")
-
-
-def _figure_data_fraction_sweep(
-    cfg: ExperimentConfig, session: ArtifactSession, seeds, threads
-) -> None:
-    mixture = resolve_mixture(cfg)
-    tasks = []
-    for seed in seeds:
-        for frac in cfg.data_fractions:
-            tasks.append(
-                lambda s=seed, f=frac: run_arm(
-                    mixture, cfg, "data_fraction_sweep", s, gamma=cfg.train.gamma, data_fraction=f
-                )
-            )
-    results = _parallel(tasks, threads)
-    session.mark_stage("train")
-    med_rows = [
-        (
-            frac,
-            _median([r.val_report.accuracy for r in results if r.data_fraction == frac]),
-        )
-        for frac in cfg.data_fractions
-    ]
-    session.write_text("data_fraction_medians.csv", csv_text("data_fraction,median_val_acc", med_rows))
-    _write_summary(session, results)
-    session.mark_stage("write")
-
-
-def _figure_lsr_compare(cfg: ExperimentConfig, session: ArtifactSession, seeds, threads) -> None:
-    mixture = resolve_mixture(cfg)
-    tasks = []
-    for seed in seeds:
-        tasks.append(lambda s=seed: run_arm(mixture, cfg, "lsr_compare", s, gamma=0.0))
-        tasks.append(lambda s=seed: run_arm(mixture, cfg, "lsr_compare", s, gamma=cfg.train.gamma))
-        tasks.append(lambda s=seed: run_arm(mixture, cfg, "lsr_compare", s, objective="lsr"))
-    results = _parallel(tasks, threads)
-    session.mark_stage("train")
-    acc = {
-        label: _median([r.val_report.accuracy for r in results if r.objective == label])
-        for label in ("ce", "maxent", "lsr")
-    }
-    rows = [
-        ("ce", acc["ce"], 0.0),
-        ("maxent", acc["maxent"], acc["maxent"] - acc["ce"]),
-        ("lsr", acc["lsr"], acc["lsr"] - acc["ce"]),
-    ]
-    session.write_text("lsr_compare.csv", csv_text("objective,median_val_acc,gain_over_ce", rows))
-    _write_summary(session, results)
-    session.mark_stage("write")
+    return _run_grid(cfg, kind, f"figure {kind}", out_dir, seeds, threads)
 
 
 def run_bounds_verify(cfg: ExperimentConfig, out_dir: Path, seeds, threads: int = 1) -> Path:
     mixture = resolve_mixture(cfg)
-    session = _open_session(cfg, out_dir, "bounds verify")
     base_seed = seeds[0]
-    try:
+    with _open_session(cfg, out_dir, "bounds verify") as session:
         session.write_text("mixture.txt", serialize_mixture(mixture))
         sampler = uniform_model_sampler(mixture.count, mixture.dim, cfg.bounds_scales)
         verify_rows = []
@@ -547,9 +478,6 @@ def run_bounds_verify(cfg: ExperimentConfig, out_dir: Path, seeds, threads: int 
         session.write_text("bounds_summary.txt", "\n".join(lines) + "\n")
         session.mark_stage("write")
         return session.finish()
-    except BaseException:
-        session.abort()
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +511,7 @@ def run_report(manifest_paths, out_dir: Path) -> Path:
     if not rows:
         raise ManifestError("no summary rows found in the given manifests")
 
-    session = ArtifactSession(out_dir, "report", "", __version__)
-    try:
+    with ArtifactSession(out_dir, "report", "", __version__) as session:
         session.write_text(SUMMARY_CSV_NAME, csv_text(SUMMARY_CSV_HEADER, rows))
 
         def col(row, name):
@@ -624,6 +551,3 @@ def run_report(manifest_paths, out_dir: Path) -> Path:
                 lines.append(f"fine gain >= large gain: {'pass' if ok else 'fail'}")
         session.write_text("report.txt", "\n".join(lines) + "\n")
         return session.finish()
-    except BaseException:
-        session.abort()
-        raise

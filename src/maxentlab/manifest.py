@@ -57,7 +57,8 @@ class ArtifactSession:
     """Collects artifact writes for one command and guarantees all-or-nothing.
 
     On success, ``finish`` writes the manifest last. On failure, ``abort``
-    removes every file this session created so no partial artifacts remain.
+    removes every file this session created so no partial artifacts remain;
+    as a context manager, the session aborts when its block raises.
     """
 
     def __init__(self, out_dir: Path, command: str, config_text: str, tool_version: str):
@@ -73,6 +74,13 @@ class ArtifactSession:
         self.stages: list[tuple[str, float]] = []
         self._stage_started = time.monotonic()
 
+    def __enter__(self) -> "ArtifactSession":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.abort()
+
     def path(self, name: str) -> Path:
         p = self.out_dir / name
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -84,14 +92,6 @@ class ArtifactSession:
         try:
             with open(p, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-        except OSError as err:
-            raise IoError(f"cannot write {p}: {err}") from err
-        return p
-
-    def write_bytes(self, name: str, blob: bytes) -> Path:
-        p = self.path(name)
-        try:
-            p.write_bytes(blob)
         except OSError as err:
             raise IoError(f"cannot write {p}: {err}") from err
         return p

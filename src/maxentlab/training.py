@@ -16,7 +16,6 @@ the full validation set at the end of the epoch.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,7 +275,14 @@ def train(
                 grad_a = scale * ((g @ model.weights).T @ x_raw)
                 model.feature_map -= lr * (grad_a + decay * model.feature_map)
             model.weights -= lr * (grad_w + decay * model.weights)
-        records.append(record(epoch + 1, ce_sum / n, h_sum / n, lr))
+        try:
+            records.append(record(epoch + 1, ce_sum / n, h_sum / n, lr))
+        except NonFiniteError as err:  # the epoch's last update overflowed
+            raise DivergenceError(
+                f"non-finite parameters at epoch {epoch + 1}, batch {batch_idx}: {err}",
+                epoch=epoch + 1,
+                batch=batch_idx,
+            ) from err
     return model, TrainHistory(records)
 
 
@@ -296,52 +302,3 @@ def evaluate(model: LinearSoftmaxModel, dataset: LabeledDataset) -> EvalReport:
         top_prob_mean=float(top.mean()),
         top_prob_histogram=hist,
     )
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    gamma: float
-    val_accuracy: float
-    val_entropy: float
-    w_l2: float
-
-
-SWEEP_CSV_HEADER = "gamma,val_acc,val_entropy,w_l2"
-
-
-def gamma_sweep(
-    train_set: LabeledDataset,
-    val_set: LabeledDataset,
-    base_config: TrainConfig,
-    gammas: list[float],
-) -> list[SweepRow]:
-    """One full training run per gamma with everything else (incl. seed) fixed."""
-    if not gammas:
-        raise DomainError("gamma list is empty")
-    rows = []
-    for gamma in gammas:
-        cfg = dataclasses.replace(base_config, gamma=float(gamma), objective="maxent")
-        start = init_model(
-            _class_count_for(train_set, val_set),
-            train_set.dim,
-            train_set.dim,
-            cfg.init_scale,
-            cfg.seed,
-            with_feature_map=cfg.train_feature_map,
-        )
-        try:
-            trained, _ = train(start, train_set, val_set, cfg)
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"gamma={gamma}: {err}", epoch=err.epoch, batch=err.batch
-            ) from err
-        rep = evaluate(trained, val_set)
-        rows.append(SweepRow(float(gamma), rep.accuracy, rep.mean_entropy, trained.w_l2()))
-    return rows
-
-
-def _class_count_for(train_set: LabeledDataset, val_set: LabeledDataset | None) -> int:
-    top = int(train_set.labels.max())
-    if val_set is not None and val_set.size:
-        top = max(top, int(val_set.labels.max()))
-    return top + 1

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from maxentlab.bounds import (
     BOUND_KINDS,
-    BoundQuery,
     cantelli_tail_bound,
     empirical_weight_norm_lower_bound,
     empirical_weight_norm_lower_bound_asymptotic,
@@ -154,20 +153,6 @@ class TestTailBounds:
             cantelli_tail_bound(1.0, 0.0)
         with pytest.raises(DomainError):
             cantelli_tail_bound(-1.0, 1.0)
-
-
-class TestBoundQuery:
-    def test_validates(self):
-        q = BoundQuery(10, 100, 0.1, 2.0, 8.0, 3.0, 1.0, 1.5)
-        assert q.validated() is q
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(DomainError):
-            BoundQuery(10, 100, 0.5, 2.0, 8.0, 3.0, 1.0, 1.5).validated()
-
-    def test_rejects_inverted_norms(self):
-        with pytest.raises(DomainError):
-            BoundQuery(10, 100, 0.1, 2.0, 8.0, 1.0, 3.0, 1.5).validated()
 
 
 class TestVerifyBound:

@@ -51,10 +51,8 @@ class TestCsvIo:
             csv_text("a,b", [(1, 2, 3)])
 
     def test_lf_endings(self, tmp_path):
-        from maxentlab.csvio import write_csv
-
-        p = tmp_path / "t.csv"
-        write_csv(p, "a,b", [(1, 2)])
+        session = ArtifactSession(tmp_path, "test", "", "0")
+        p = session.write_text("t.csv", csv_text("a,b", [(1, 2)]))
         assert p.read_bytes() == b"a,b\n1,2\n"
         header, rows = read_csv(p)
         assert header == ["a", "b"] and rows == [["1", "2"]]
@@ -146,6 +144,8 @@ class TestCliCommands:
         [
             (["bounds", "verify"], "[bounds]\ntrials = 50\n"),
             (["synth"], "[mixture]\nsource = fixture_spectrum\ndim = 4\n"),
+            (["bounds", "verify"], "[mixture]\ncomponents = 0\n"),
+            (["bounds", "verify"], "[bounds]\nkinds =\n"),
         ],
     )
     def test_unrunnable_config_is_an_error(self, tmp_path, capsys, argv, body):
@@ -155,6 +155,31 @@ class TestCliCommands:
         assert main(argv + ["--config", str(p), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_divergence_names_its_arm(self, tmp_path, capsys):
+        p = tmp_path / "cfg.cfg"
+        # with lr * weight_decay >> 1 each step multiplies the weights by about -lr
+        p.write_text(QUICK.replace("lr = constant:0.2", "lr = constant:1e200\nweight_decay = 1.0"))
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["figure", "gamma_sweep", "--config", str(p), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gamma=0.0" in err and "seed=1" in err, err
+        assert "epoch" in err and "batch" in err
+        assert not out.exists()
+
+    def test_mixture_file_resolves_against_the_config_directory(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "sub"
+        cfg_dir.mkdir()
+        (cfg_dir / "two.mix").write_text(
+            "dim = 2\n[component]\nweight = 0.5\nmean = 1 0\ncov = 0.1\n"
+            "[component]\nweight = 0.5\nmean = -1 0\ncov = 0.1\n"
+        )
+        (cfg_dir / "exp.cfg").write_text(QUICK + "[mixture]\nsource = file:two.mix\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", "sub/exp.cfg", "--out", "out"]) == 0
+        load_manifest(tmp_path / "out" / "manifest.json")
 
     def test_failure_leaves_no_partial_artifacts(self, tmp_path):
         # spectrum without a trainable feature map is a config error

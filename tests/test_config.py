@@ -68,6 +68,12 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_config("[experiment]\nseeds = \n")
 
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_bound_kinds(self, value):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"[bounds]\nkinds = {value}\n")
+        assert err.value.line_no == 2
+
     def test_missing_mixture_file(self, tmp_path):
         with pytest.raises(ValidationError):
             parse_config("[mixture]\nsource = file:nope.mix\n", base_dir=tmp_path)
@@ -81,6 +87,9 @@ class TestParseErrors:
             ("[bounds]\nsample_counts = 100,0\n", "bounds.sample_counts"),
             ("[bounds]\nscales = 0.1,-1.0\n", "bounds.scales"),
             ("[bounds]\nscales = 1.0,inf\n", "bounds.scales"),
+            ("[mixture]\ncomponents = 0\n", "mixture.components"),
+            ("[mixture]\nsource = fixture_spectrum\ncomponents = 1\n", "mixture.components"),
+            ("[mixture]\ndim = 0\n", "mixture.dim"),
         ],
     )
     def test_rejects_values_the_pipelines_cannot_run(self, text, field):
@@ -130,7 +139,7 @@ class TestRoundTrip:
                 delta=float(rng.uniform(0.01, 0.49)),
                 fixture_seed=int(rng.integers(0, 1000)),
                 dim=int(rng.integers(2, 32)),
-                components=int(rng.integers(1, 12)),
+                components=int(rng.integers(2, 12)),
                 train=dataclasses.replace(
                     ExperimentConfig().train,
                     gamma=float(rng.uniform(0, 10)),
@@ -213,5 +222,6 @@ class TestResolveMixture:
             "dim = 1\n[component]\nweight = 1.0\nmean = 0\ncov = 2.0\n"
         )
         cfg = parse_config("[mixture]\nsource = file:m.mix\n", base_dir=tmp_path)
-        mix = resolve_mixture(cfg, base_dir=tmp_path)
+        assert cfg.mixture_source == f"file:{tmp_path / 'm.mix'}"
+        mix = resolve_mixture(cfg)
         np.testing.assert_allclose(mix.covariances[0], [[2.0]])

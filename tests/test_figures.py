@@ -8,6 +8,7 @@ import pytest
 from maxentlab.configio import parse_config
 from maxentlab.csvio import read_csv
 from maxentlab.figures import (
+    FIGURE_KINDS,
     run_bounds_verify,
     run_figure,
     run_report,
@@ -133,10 +134,23 @@ def test_report_two_regimes_has_delta_verdict(tmp_path):
     assert "fine gain >= large gain:" in text
 
 
+def _assert_threads_do_not_change_artifacts(cfg, kind, tmp_path):
+    arts = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        if kind == "train":
+            manifest = run_train(cfg, out, [1, 2], threads=threads)
+        else:
+            manifest = run_figure(cfg, kind, out, [1, 2], threads=threads)
+        arts.append({a["path"]: a["sha256"] for a in load_manifest(manifest).artifacts})
+    assert arts[0] == arts[1]
+
+
 def test_threaded_figure_matches_serial(small_cfg, tmp_path):
-    m1 = run_figure(small_cfg, "gamma_sweep", tmp_path / "serial", [1, 2], threads=1)
-    m2 = run_figure(small_cfg, "gamma_sweep", tmp_path / "threaded", [1, 2], threads=4)
-    for art in load_manifest(m1).artifacts:
-        a = (tmp_path / "serial" / art["path"]).read_bytes()
-        b = (tmp_path / "threaded" / art["path"]).read_bytes()
-        assert a == b, art["path"]
+    _assert_threads_do_not_change_artifacts(small_cfg, "gamma_sweep", tmp_path)
+
+
+@pytest.mark.parametrize("kind", [k for k in ("train",) + FIGURE_KINDS if k != "gamma_sweep"])
+def test_threaded_pipeline_matches_serial(small_cfg, tmp_path, kind):
+    cfg = parse_config(SMALL_SPECTRUM) if kind == "spectrum" else small_cfg
+    _assert_threads_do_not_change_artifacts(cfg, kind, tmp_path)

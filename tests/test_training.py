@@ -1,6 +1,5 @@
 """SGD trainer: determinism, reductions, noise injection, telemetry."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from maxentlab.training import (
     LrSchedule,
     TrainConfig,
     evaluate,
-    gamma_sweep,
     init_model,
     inject_label_noise,
     train,
@@ -211,6 +209,15 @@ class TestTrain:
             train(init_model(2, 2, 2, 0.01, seed=1), ds, None, cfg)
         assert err.value.epoch is not None and err.value.batch is not None
 
+    def test_divergence_at_epoch_end_is_a_divergence_error(self):
+        # one batch per epoch, so the overflowing update is seen first by the
+        # end-of-epoch validation; lr * weight_decay >> 1 grows |W| ~1e200-fold a step
+        ds = blobs(count=10)
+        cfg = quick_cfg(epochs=5, lr=LrSchedule("constant", 1e200), weight_decay=1.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            train(init_model(2, 2, 2, 0.0, seed=1), ds, blobs(seed=2), cfg)
+        assert (err.value.epoch, err.value.batch) == (2, 0)
+
     def test_incomplete_final_batch_used(self):
         # 10 samples at batch 8: second batch has 2 rows and still updates
         ds = blobs(count=10)
@@ -259,32 +266,3 @@ class TestEvaluate:
         )
         assert rep.top_prob_mean == pytest.approx(np.mean([p.max() for p in probs]), rel=1e-12)
         assert rep.top_prob_histogram.sum() == 50
-
-
-class TestGammaSweep:
-    def test_single_gamma_equals_plain_ce(self):
-        tr, va = blobs(seed=1), blobs(seed=2)
-        cfg = quick_cfg(epochs=30)
-        rows = gamma_sweep(tr, va, cfg, [0.0])
-        trained, _ = train(init_model(2, 2, 2, 0.0, seed=1), tr, va, cfg)
-        rep = evaluate(trained, va)
-        assert rows[0].gamma == 0.0
-        assert rows[0].val_accuracy == rep.accuracy
-        assert rows[0].w_l2 == trained.w_l2()
-
-    def test_duplicate_gammas_identical(self):
-        tr, va = blobs(seed=1), blobs(seed=2)
-        rows = gamma_sweep(tr, va, quick_cfg(epochs=15), [0.5, 0.5])
-        assert rows[0] == dataclasses.replace(rows[1])
-
-    def test_empty_gamma_list(self):
-        tr, va = blobs(seed=1), blobs(seed=2)
-        with pytest.raises(DomainError):
-            gamma_sweep(tr, va, quick_cfg(), [])
-
-    def test_divergence_tagged_with_gamma(self):
-        tr, va = blobs(seed=1), blobs(seed=2)
-        cfg = quick_cfg(epochs=50, lr=LrSchedule("constant", 1e308), init_scale=0.01)
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-            gamma_sweep(tr, va, cfg, [0.25])
-        assert "gamma=0.25" in str(err.value)
