@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .configio import parse_config
+from .configio import check_seeds, parse_config
 from .errors import MaxentLabError
 from .figures import FIGURE_KINDS, run_bounds_verify, run_figure, run_report, run_synth, run_train
 
@@ -76,8 +76,7 @@ def main(argv=None) -> int:
             raise MaxentLabError(f"cannot read config {config_path}: {err}") from err
         cfg = parse_config(text, base_dir=config_path.parent)
         seeds = _parse_seeds(args.seeds, cfg.seeds)
-        if not seeds:
-            raise MaxentLabError("no seeds to run")
+        check_seeds(seeds)
         if args.command == "synth":
             out = _resolve_out(args, cfg.out_dir, "synth")
             manifest = run_synth(cfg, out, seeds, args.threads)

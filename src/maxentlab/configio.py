@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -253,6 +254,23 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     return cfg
 
 
+def check_seeds(seeds) -> None:
+    """Reject an empty seed list, or one that repeats a seed.
+
+    Every pipeline names its per-seed artifacts by seed, so a repeated seed
+    would write, and list in the manifest, the same artifact twice.
+    """
+    if not seeds:
+        raise ValidationError("seed list may not be empty", field="experiment.seeds")
+    repeated = sorted(s for s, count in Counter(seeds).items() if count > 1)
+    if repeated:
+        raise ValidationError(
+            f"experiment.seeds repeats {', '.join(map(str, repeated))}: per-seed artifacts "
+            "would collide",
+            field="experiment.seeds",
+        )
+
+
 def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.train_n < 1:
         raise ValidationError(
@@ -261,8 +279,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     # every pipeline samples the validation set, and sampling needs a row
     if cfg.val_n < 1:
         raise ValidationError(f"val_n must be >= 1, got {cfg.val_n}", field="experiment.val_n")
-    if not cfg.seeds:
-        raise ValidationError("seed list may not be empty", field="experiment.seeds")
+    check_seeds(cfg.seeds)
     if not 0.0 < cfg.delta < 0.5:
         raise ValidationError(f"delta must lie in (0, 0.5), got {cfg.delta}", field="experiment.delta")
     src = cfg.mixture_source

@@ -137,7 +137,22 @@ def predict_proba_batch(model: LinearSoftmaxModel, raw: np.ndarray) -> np.ndarra
         raise ShapeError(f"batch must be (N, {model.raw_dim}), got {x.shape}")
     if not np.isfinite(x).all():
         raise NonFiniteError("batch contains non-finite values")
-    return softmax_batch(model.transform(x) @ model.weights.T)
+    return _forward(model, x)[1]
+
+
+def _forward(model: LinearSoftmaxModel, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(features, probabilities) of a checked raw batch: the one forward pass.
+
+    The caller checks the batch's shape and finiteness; non-finite logits
+    (diverged parameters) still raise NonFiniteError in ``softmax_batch``.
+    """
+    phi = model.transform(raw)
+    return phi, softmax_batch(phi @ model.weights.T)
+
+
+def _label_ce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy -ln p_y of probability rows against their labels."""
+    return -np.log(np.maximum(p[np.arange(labels.shape[0]), labels], PROB_FLOOR))
 
 
 def entropy(p: np.ndarray) -> float:
@@ -254,8 +269,7 @@ def _loss_terms(
     model: LinearSoftmaxModel, features: np.ndarray, labels: np.ndarray, gamma: float
 ) -> np.ndarray:
     p = predict_proba_batch(model, features)
-    idx = np.arange(labels.shape[0])
-    ce = -np.log(np.maximum(p[idx, labels], PROB_FLOOR))
+    ce = _label_ce(p, labels)
     if gamma == 0.0:
         return ce
     return ce - gamma * entropy_batch(p)
@@ -312,15 +326,29 @@ def maxent_gradient(
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     _check_labels(batch, model.class_count)
-    raw = batch.features
-    phi = model.transform(raw)
-    p = softmax_batch(phi @ model.weights.T)
+    phi, p = _forward(model, batch.features)
     g = logit_gradient(p, batch.labels, gamma)
-    scale = 1.0 / batch.size
-    grad_w = scale * (g.T @ phi)
-    grad_a = None
-    if model.feature_map is not None:
-        grad_a = scale * ((g @ model.weights).T @ raw)
+    grad_w, grad_a = _param_grads(model, batch.features, phi, g)
     if not np.isfinite(grad_w).all() or (grad_a is not None and not np.isfinite(grad_a).all()):
         raise NonFiniteError("gradient is not finite")
+    return grad_w, grad_a
+
+
+def _param_grads(
+    model: LinearSoftmaxModel,
+    raw: np.ndarray,
+    phi: np.ndarray,
+    g: np.ndarray,
+    with_feature_map: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Batch-mean (grad_W, grad_A) from per-sample logit gradients ``g``.
+
+    ``phi`` holds the features of ``raw`` under the model. grad_A is None
+    without a feature map, or when ``with_feature_map`` is false (a frozen map).
+    """
+    scale = 1.0 / raw.shape[0]
+    grad_w = scale * (g.T @ phi)
+    grad_a = None
+    if with_feature_map and model.feature_map is not None:
+        grad_a = scale * ((g @ model.weights).T @ raw)
     return grad_w, grad_a

@@ -317,6 +317,13 @@ def _reduce_lsr_compare(cfg, session: ArtifactSession, seeds, mixture, results) 
 
 
 def _two_gammas(cfg: ExperimentConfig) -> list[dict]:
+    """A plain cross-entropy arm and a max-entropy arm at ``[train] gamma``."""
+    if cfg.train.gamma == 0.0:
+        # both arms would be gamma = 0: the same run under the same artifact names
+        raise ValidationError(
+            "this figure compares gamma = 0 with train.gamma, which must be > 0",
+            field="train.gamma",
+        )
     return [dict(gamma=0.0), dict(gamma=cfg.train.gamma)]
 
 
@@ -337,9 +344,7 @@ PIPELINES = {
     "top_prob_hist": (_two_gammas, _reduce_top_prob_hist),
     "gamma_sweep": (lambda c: [dict(gamma=g) for g in c.gammas], _reduce_gamma_sweep),
     "noise_sweep": (
-        lambda c: [
-            dict(gamma=g, noise_fraction=f) for f in c.noise_fractions for g in (0.0, c.train.gamma)
-        ],
+        lambda c: [dict(arm, noise_fraction=f) for f in c.noise_fractions for arm in _two_gammas(c)],
         _reduce_noise_sweep,
     ),
     "ce_vs_val": (_two_gammas, _reduce_ce_vs_val),

@@ -82,7 +82,10 @@ class ArtifactSession:
             self.abort()
 
     def path(self, name: str) -> Path:
+        """Register a new artifact; a name may be created once per session."""
         p = self.out_dir / name
+        if p in self.created:
+            raise ManifestError(f"artifact {name} is created twice in one run")
         p.parent.mkdir(parents=True, exist_ok=True)
         self.created.append(p)
         return p

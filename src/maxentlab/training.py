@@ -10,8 +10,15 @@ from a stream derived from (seed, epoch), so a run is a pure function of
 (datasets, config). History record k holds the state after k epochs; record
 0 is the pre-training state. Train-loss telemetry for epoch k >= 1 is the
 size-weighted mean of the per-batch values seen during that epoch (the last
-short batch counts at its true size); validation metrics are computed on
-the full validation set at the end of the epoch.
+short batch counts at its true size). Validation telemetry is what a record
+stores, validation CE and accuracy, taken from one forward pass over the
+full validation set at the end of each epoch; the full ``EvalReport``
+(entropy and top-probability statistics) comes from ``evaluate``, which the
+pipelines call once on the trained model.
+
+Forward passes run through ``core._forward`` and parameter gradients through
+``core._param_grads``, the kernel behind the public loss and gradient API,
+so a full-batch step moves the parameters by exactly ``maxent_gradient``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ import numpy as np
 from ._streams import INIT, NOISE, SHUFFLE, derive_rng
 from .core import (
     LinearSoftmaxModel,
+    _check_labels,
+    _forward,
+    _label_ce,
+    _param_grads,
     entropy_batch,
     logit_gradient,
     predict_proba_batch,
@@ -190,15 +201,6 @@ def inject_label_noise(dataset: LabeledDataset, fraction: float, seed: int) -> L
     return out
 
 
-def _batch_stats(
-    model: LinearSoftmaxModel, features: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(probabilities, per-sample CE, per-sample entropy) for telemetry and gradients."""
-    p = predict_proba_batch(model, features)
-    ce = -np.log(np.maximum(p[np.arange(labels.shape[0]), labels], 1e-300))
-    return p, ce, entropy_batch(p)
-
-
 def train(
     model: LinearSoftmaxModel,
     train_set: LabeledDataset,
@@ -214,25 +216,34 @@ def train(
     config = config.validated()
     if train_set.size == 0:
         raise ShapeError("training set is empty")
-    if int(train_set.labels.max()) >= model.class_count:
-        raise ShapeError("training labels exceed the model class count")
+    _check_labels(train_set, model.class_count)
+    has_val = val_set is not None and val_set.size > 0
+    if has_val:
+        _check_labels(val_set, model.class_count)
     model = model.copy()
     gamma = config.gamma if config.objective == "maxent" else 0.0
     use_lsr = config.objective == "lsr"
     decay = config.weight_decay
     train_a = config.train_feature_map and model.feature_map is not None
 
-    def val_metrics() -> tuple[float | None, float | None]:
-        if val_set is None or val_set.size == 0:
-            return None, None
-        rep = evaluate(model, val_set)
-        return rep.mean_ce, rep.accuracy
-
     def record(epoch: int, train_ce: float, train_h: float, lr: float) -> EpochRecord:
-        vce, vacc = val_metrics()
+        vce = vacc = None
+        if has_val:
+            p = predict_proba_batch(model, val_set.features)
+            vce = float(_label_ce(p, val_set.labels).mean())
+            vacc = float((p.argmax(axis=1) == val_set.labels).mean())
         return EpochRecord(epoch, train_ce, train_h, vce, vacc, model.w_l2(), model.w_inf(), lr)
 
-    _, ce0, h0 = _batch_stats(model, train_set.features, train_set.labels)
+    def diverged(what: str, epoch: int, batch: int, err: Exception | None = None):
+        detail = "" if err is None else f": {err}"
+        return DivergenceError(
+            f"non-finite {what} at epoch {epoch}, batch {batch}{detail}", epoch=epoch, batch=batch
+        )
+
+    # record 0 passes both sets through predict_proba_batch, which checks their
+    # shape and finiteness once, so the SGD steps below skip that check
+    p0 = predict_proba_batch(model, train_set.features)
+    ce0, h0 = _label_ce(p0, train_set.labels), entropy_batch(p0)
     records = [record(0, float(ce0.mean()), float(h0.mean()), config.lr.value(0, config.epochs))]
 
     n = train_set.size
@@ -246,59 +257,41 @@ def train(
             x_raw = train_set.features[rows]
             y = train_set.labels[rows]
             try:
-                phi = model.transform(x_raw)
-                p = predict_proba_batch(model, x_raw)
+                phi, p = _forward(model, x_raw)
             except NonFiniteError as err:
-                raise DivergenceError(
-                    f"non-finite parameters at epoch {epoch + 1}, batch {batch_idx}: {err}",
-                    epoch=epoch + 1,
-                    batch=batch_idx,
-                ) from err
-            ce = -np.log(np.maximum(p[np.arange(rows.size), y], 1e-300))
+                raise diverged("parameters", epoch + 1, batch_idx, err) from err
+            ce = _label_ce(p, y)
             h = entropy_batch(p)
             batch_loss = float(ce.mean()) - gamma * float(h.mean())
             if not np.isfinite(batch_loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch + 1}, batch {batch_idx}",
-                    epoch=epoch + 1,
-                    batch=batch_idx,
-                )
+                raise diverged("loss", epoch + 1, batch_idx)
             ce_sum += float(ce.sum())
             h_sum += float(h.sum())
             if use_lsr:
                 g = p - smoothed_targets(y, model.class_count, config.lsr_epsilon)
             else:
                 g = logit_gradient(p, y, gamma)
-            scale = 1.0 / rows.size
-            grad_w = scale * (g.T @ phi)
+            grad_w, grad_a = _param_grads(model, x_raw, phi, g, train_a)
             if train_a:
-                grad_a = scale * ((g @ model.weights).T @ x_raw)
                 model.feature_map -= lr * (grad_a + decay * model.feature_map)
             model.weights -= lr * (grad_w + decay * model.weights)
         try:
             records.append(record(epoch + 1, ce_sum / n, h_sum / n, lr))
         except NonFiniteError as err:  # the epoch's last update overflowed
-            raise DivergenceError(
-                f"non-finite parameters at epoch {epoch + 1}, batch {batch_idx}: {err}",
-                epoch=epoch + 1,
-                batch=batch_idx,
-            ) from err
+            raise diverged("parameters", epoch + 1, batch_idx, err) from err
     return model, TrainHistory(records)
 
 
 def evaluate(model: LinearSoftmaxModel, dataset: LabeledDataset) -> EvalReport:
     """Accuracy (argmax, ties to the lowest class), mean CE and entropy, top-prob stats."""
-    if dataset.size == 0:
-        raise ShapeError("dataset is empty")
-    _, ce, h = _batch_stats(model, dataset.features, dataset.labels)
+    _check_labels(dataset, model.class_count)
     p = predict_proba_batch(model, dataset.features)
-    predicted = p.argmax(axis=1)
     top = p.max(axis=1)
     hist, _ = np.histogram(top, bins=TOP_PROB_BINS, range=(0.0, 1.0))
     return EvalReport(
-        accuracy=float((predicted == dataset.labels).mean()),
-        mean_ce=float(ce.mean()),
-        mean_entropy=float(h.mean()),
+        accuracy=float((p.argmax(axis=1) == dataset.labels).mean()),
+        mean_ce=float(_label_ce(p, dataset.labels).mean()),
+        mean_entropy=float(entropy_batch(p).mean()),
         top_prob_mean=float(top.mean()),
         top_prob_histogram=hist,
     )

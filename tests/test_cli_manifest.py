@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from maxentlab.cli import main
+from maxentlab.configio import parse_config
 from maxentlab.csvio import csv_text, format_cell, read_csv
 from maxentlab.errors import IoError, ManifestError
+from maxentlab.figures import run_train
 from maxentlab.manifest import ArtifactSession, load_manifest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -85,6 +87,13 @@ class TestArtifactSession:
         with pytest.raises(ManifestError):
             load_manifest(manifest_path)
 
+    def test_name_created_twice_is_refused(self, tmp_path):
+        session = ArtifactSession(tmp_path / "run", "test", "", "0")
+        session.write_text("a.csv", "x\n")
+        with pytest.raises(ManifestError):
+            session.write_text("a.csv", "y\n")
+        assert (tmp_path / "run" / "a.csv").read_text() == "x\n"
+
     def test_missing_artifact_fails_verification(self, tmp_path):
         out = tmp_path / "run"
         session = ArtifactSession(out, "test", "", "0")
@@ -154,6 +163,43 @@ class TestCliCommands:
         out = tmp_path / "o"
         assert main(argv + ["--config", str(p), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, edit, field",
+        [
+            (["train", "--seeds", "1,1"], {}, "experiment.seeds"),
+            (["synth"], {"seeds = 1": "seeds = 2,1,2"}, "experiment.seeds"),
+            (["figure", "top_prob_hist"], {"epochs = 5": "epochs = 5\ngamma = 0"}, "train.gamma"),
+            (["figure", "ce_vs_val"], {"epochs = 5": "epochs = 5\ngamma = 0"}, "train.gamma"),
+            (["figure", "lsr_compare"], {"epochs = 5": "epochs = 5\ngamma = 0"}, "train.gamma"),
+            (["figure", "noise_sweep"], {"epochs = 5": "epochs = 5\ngamma = 0"}, "train.gamma"),
+            (
+                ["figure", "spectrum"],
+                {"epochs = 5": "epochs = 5\ngamma = 0\ntrain_feature_map = true"},
+                "train.gamma",
+            ),
+        ],
+    )
+    def test_colliding_artifact_names_are_an_error(self, tmp_path, capsys, argv, edit, field):
+        # repeated seeds, or two-gamma figures at gamma = 0, would write one artifact twice
+        body = QUICK
+        for old, new in edit.items():
+            body = body.replace(old, new)
+        p = tmp_path / "cfg.cfg"
+        p.write_text(body)
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, err
+        assert not out.exists()
+
+    def test_grid_never_lists_an_artifact_twice(self, quick_cfg_path, tmp_path):
+        # the library entry point takes seeds unchecked; the session refuses the repeat
+        cfg = parse_config(quick_cfg_path.read_text())
+        out = tmp_path / "o"
+        with pytest.raises(ManifestError):
+            run_train(cfg, out, [1, 1])
         assert not out.exists()
 
     def test_divergence_names_its_arm(self, tmp_path, capsys):

@@ -90,6 +90,7 @@ class TestParseErrors:
             ("[mixture]\ncomponents = 0\n", "mixture.components"),
             ("[mixture]\nsource = fixture_spectrum\ncomponents = 1\n", "mixture.components"),
             ("[mixture]\ndim = 0\n", "mixture.dim"),
+            ("[experiment]\nseeds = 1,2,1\n", "experiment.seeds"),
         ],
     )
     def test_rejects_values_the_pipelines_cannot_run(self, text, field):
@@ -135,7 +136,10 @@ class TestRoundTrip:
                 train_n=int(rng.integers(1, 500)),
                 val_n=int(rng.integers(1, 500)),
                 out_dir="runs/x",
-                seeds=tuple(int(s) for s in rng.integers(0, 100, size=rng.integers(1, 5))),
+                # a repeated seed is rejected, so repeats are dropped
+                seeds=tuple(
+                    dict.fromkeys(int(s) for s in rng.integers(0, 100, size=rng.integers(1, 5)))
+                ),
                 delta=float(rng.uniform(0.01, 0.49)),
                 fixture_seed=int(rng.integers(0, 1000)),
                 dim=int(rng.integers(2, 32)),

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from maxentlab.core import LinearSoftmaxModel
+from maxentlab._streams import SHUFFLE, derive_rng
+from maxentlab.core import LinearSoftmaxModel, maxent_gradient
 from maxentlab.datasets import LabeledDataset
 from maxentlab.errors import DivergenceError, DomainError, ShapeError, ValidationError
 from maxentlab.mixtures import GaussianMixture, sample
@@ -226,6 +227,43 @@ class TestTrain:
         trained, _ = train(model, ds, None, cfg)
         assert trained.weights.any()
 
+    def test_out_of_range_validation_label_is_a_shape_error(self):
+        val = blobs(count=10, seed=2)
+        val.labels[3] = 2
+        with pytest.raises(ShapeError):
+            train(init_model(2, 2, 2, 0.0, seed=1), blobs(), val, quick_cfg(epochs=1))
+
+    def test_final_record_equals_evaluate(self):
+        # per-epoch telemetry and evaluate share one forward pass, bit for bit
+        ds, val = blobs(1.0, var=1.0), blobs(1.0, count=300, seed=2, var=1.0)
+        trained, history = train(init_model(2, 2, 2, 0.1, seed=3), ds, val, quick_cfg(epochs=3))
+        rep = evaluate(trained, val)
+        assert 0.0 < rep.accuracy < 1.0
+        assert history.final.val_ce == rep.mean_ce
+        assert history.final.val_accuracy == rep.accuracy
+
+    @pytest.mark.parametrize("train_feature_map", [False, True])
+    def test_full_batch_step_is_maxent_gradient(self, train_feature_map):
+        # one full-batch step is W - lr * maxent_gradient on the shuffled batch, exactly
+        ds = blobs(count=40, var=1.0)
+        lr = 0.3
+        model = init_model(2, 2, 2, 0.2, seed=3, with_feature_map=train_feature_map)
+        cfg = quick_cfg(
+            epochs=1,
+            batch_size=ds.size,
+            gamma=1.0,
+            lr=LrSchedule("constant", lr),
+            train_feature_map=train_feature_map,
+        )
+        trained, _ = train(model, ds, None, cfg)
+        batch = ds.subset(derive_rng(cfg.seed, SHUFFLE, 0).permutation(ds.size))
+        grad_w, grad_a = maxent_gradient(model, batch, cfg.gamma)
+        np.testing.assert_array_equal(trained.weights, model.weights - lr * grad_w)
+        if train_feature_map:
+            np.testing.assert_array_equal(trained.feature_map, model.feature_map - lr * grad_a)
+        else:
+            assert grad_a is None and trained.feature_map is None
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
             quick_cfg(objective="banana").validated()
@@ -247,6 +285,11 @@ class TestEvaluate:
         rep = evaluate(model, ds)
         assert rep.accuracy == 1.0
         assert rep.top_prob_mean >= 1 - 1e-6
+
+    def test_out_of_range_label_is_a_shape_error(self, rng):
+        ds = LabeledDataset(rng.normal(size=(4, 2)), [0, 1, 2, 5])
+        with pytest.raises(ShapeError):
+            evaluate(LinearSoftmaxModel(np.zeros((3, 2))), ds)
 
     def test_matches_per_sample_loop(self, rng):
         from maxentlab.core import entropy, predict_proba
