@@ -61,6 +61,11 @@ from .errors import DomainError
 from .mixtures import GaussianMixture, fourth_moment_and_variance
 
 BOUND_KINDS = ("weight_norm", "entropy_deviation", "empirical_weight_norm")
+# Fewest trials ``verify_bound`` runs: a violation rate over fewer says little.
+MIN_TRIALS = 100
+# Standard errors of the Monte-Carlo expected entropy by which the weight_norm
+# check widens its observed side.
+GUARD_SIGMAS = 3.0
 
 
 def weight_norm_lower_bound(class_count: int, mean_entropy: float, nu: float) -> float:
@@ -240,15 +245,13 @@ def verify_bound(
     trials: int,
     seed: int,
     entropy_draws: int = 100_000,
-    guard_sigmas: float = 3.0,
-    weight_norm_mode: str = "l2",
     threads: int = 1,
 ) -> VerificationSummary:
     """Draw (model, dataset) pairs and count violations of the chosen bound.
 
     weight_norm:            deterministic inequality; the expected entropy is
                             estimated by Monte-Carlo and the observed side is
-                            widened by ``guard_sigmas`` standard errors, so
+                            widened by ``GUARD_SIGMAS`` standard errors, so
                             the violation rate must be 0.
     entropy_deviation:      probabilistic; rate must stay <= delta. The
                             expected entropy is re-estimated per trial and
@@ -264,17 +267,14 @@ def verify_bound(
     """
     if kind not in BOUND_KINDS:
         raise DomainError(f"unknown bound kind {kind!r}")
-    if trials < 100:
-        raise DomainError(f"trials must be >= 100, got {trials}")
+    if trials < MIN_TRIALS:
+        raise DomainError(f"trials must be >= {MIN_TRIALS}, got {trials}")
     if sample_count < 1:
         raise DomainError(f"sample_count must be >= 1, got {sample_count}")
-    if weight_norm_mode not in ("l2", "inf"):
-        raise DomainError(f"weight_norm_mode must be 'l2' or 'inf', got {weight_norm_mode!r}")
     # analytic_diversity validates the mixture; trials sample it unchecked
     report = analytic_diversity(mixture)
     nu = report.nu
     _, var_sqnorm = fourth_moment_and_variance(mixture)
-    class_count_probe = model_sampler(0, derive_rng(seed, TRIAL, 0)).class_count
 
     def run_trial(trial: int) -> TrialRow | None:
         rng = derive_rng(seed, TRIAL, trial)
@@ -288,7 +288,7 @@ def verify_bound(
                 model.class_count, min(est, math.log(model.class_count)), nu
             )
             observed = model.w_l2()
-            guard = guard_sigmas * se / (2.0 * math.sqrt(nu))
+            guard = GUARD_SIGMAS * se / (2.0 * math.sqrt(nu))
             margin = observed + guard - bound
         elif kind == "entropy_deviation":
             emp = float(_logit_entropies(model, mixture, sample_count, rng).mean())
@@ -296,8 +296,7 @@ def verify_bound(
                 model, mixture, entropy_draws, int(rng.integers(0, 2**63 - 1))
             )
             observed = abs(emp - est)
-            scale = model.w_l2() if weight_norm_mode == "l2" else model.w_inf()
-            bound = entropy_deviation_bound(scale, nu, var_sqnorm, sample_count, delta)
+            bound = entropy_deviation_bound(model.w_l2(), nu, var_sqnorm, sample_count, delta)
             extra = entropy_deviation_bound(model.w_inf(), nu, var_sqnorm, sample_count, delta)
             margin = bound - observed
         else:  # empirical_weight_norm
@@ -337,7 +336,7 @@ def verify_bound(
     inf_bounds = [r.extra_inf_bound for r in rows if r.extra_inf_bound is not None]
 
     effective = len(rows)
-    extras = {"nu": nu, "var_sqnorm": var_sqnorm, "class_count": class_count_probe}
+    extras = {"nu": nu, "var_sqnorm": var_sqnorm}
     if inf_bounds:
         extras["mean_bound_w_inf"] = float(np.mean(inf_bounds))
     if kind == "empirical_weight_norm":

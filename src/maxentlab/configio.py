@@ -2,17 +2,18 @@
 
 Grammar: ``[section]`` headers, ``key = value`` lines, ``#`` starts a comment
 anywhere, blank lines ignored. Unknown sections or keys are errors, never
-silently ignored. Every key has a default, so the empty string parses to the
-default experiment.
+silently ignored, and so is a key set twice, even under a repeated section
+header. Every key has a default, so the empty string parses to the default
+experiment.
 
     [experiment]                      [train]
     regime = fine_grained             gamma = 1.0
     train_n = 200                     objective = maxent      # maxent|ce|lsr
     val_n = 5000                      lsr_epsilon = 0.1
-    out_dir =                         lr = linear:0.3          # constant:B | step:B:F:I | linear:B
+    out_dir =                         lr = constant:0.1        # constant:B | step:B:F:I | linear:B
     seeds = 1,2,3,4,5,6               weight_decay = 0.0
     delta = 0.1                       batch_size = 32
-                                      epochs = 150
+                                      epochs = 100
     [mixture]                         train_feature_map = false
     source = fixture                  init_scale = 0.0
     fixture_seed = 7
@@ -48,11 +49,14 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bounds import BOUND_KINDS, MIN_TRIALS
+from .core import MIN_MC_DRAWS
 from .errors import IoError, ParseError, ValidationError
 from .fixtures import make_regime_fixtures, make_spectrum_fixture
 from .mixtures import GaussianMixture, validate
@@ -175,81 +179,90 @@ def serialize_lr(lr: LrSchedule) -> str:
     return f"{lr.kind}:{lr.base!r}"
 
 
+class _Codec(NamedTuple):
+    """How one key's value reads from config text and writes back to it."""
+
+    read: Callable[[str, int], object]
+    write: Callable[[object], str]
+
+
+_TEXT = _Codec(lambda value, line_no: value, str)
+_INT = _Codec(_as_int, str)
+_FLOAT = _Codec(_as_float, repr)
+_BOOL = _Codec(_as_bool, lambda flag: "true" if flag else "false")
+_INTS = _Codec(_as_int_list, lambda values: ",".join(map(str, values)))
+_FLOATS = _Codec(_as_float_list, lambda values: ",".join(map(repr, values)))
+_TEXTS = _Codec(_as_str_list, ",".join)
+_LR = _Codec(parse_lr, serialize_lr)
+
+# section -> key -> (field, codec): the one list of config keys. Fields are
+# ExperimentConfig's, except under [train], where they are TrainConfig's.
+# serialize_config writes the keys in this order.
+_SCHEMA: dict[str, dict[str, tuple[str, _Codec]]] = {
+    "experiment": {
+        "regime": ("regime", _TEXT),
+        "train_n": ("train_n", _INT),
+        "val_n": ("val_n", _INT),
+        "out_dir": ("out_dir", _TEXT),
+        "seeds": ("seeds", _INTS),
+        "delta": ("delta", _FLOAT),
+    },
+    "mixture": {
+        "source": ("mixture_source", _TEXT),
+        "fixture_seed": ("fixture_seed", _INT),
+        "dim": ("dim", _INT),
+        "components": ("components", _INT),
+    },
+    "train": {
+        "gamma": ("gamma", _FLOAT),
+        "objective": ("objective", _TEXT),
+        "lsr_epsilon": ("lsr_epsilon", _FLOAT),
+        "lr": ("lr", _LR),
+        "weight_decay": ("weight_decay", _FLOAT),
+        "batch_size": ("batch_size", _INT),
+        "epochs": ("epochs", _INT),
+        "train_feature_map": ("train_feature_map", _BOOL),
+        "init_scale": ("init_scale", _FLOAT),
+    },
+    "sweep": {
+        "gammas": ("gammas", _FLOATS),
+        "noise_fractions": ("noise_fractions", _FLOATS),
+        "data_fractions": ("data_fractions", _FLOATS),
+    },
+    "bounds": {
+        "kinds": ("bounds_kinds", _TEXTS),
+        "trials": ("bounds_trials", _INT),
+        "sample_counts": ("bounds_sample_counts", _INTS),
+        "entropy_draws": ("bounds_entropy_draws", _INT),
+        "scales": ("bounds_scales", _FLOATS),
+    },
+}
+
+
 def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    train = cfg.train
     fields: dict[str, object] = {}
+    train: dict[str, object] = {}
+    first_line: dict[str, int] = {}
 
     for line_no, section, key, value in _parse_sections(text):
         if key == "":
-            if section not in ("experiment", "mixture", "train", "sweep", "bounds"):
+            if section not in _SCHEMA:
                 raise ValidationError(f"unknown section [{section}]", field=section)
             continue
         slot = f"{section}.{key}"
-        if slot == "experiment.regime":
-            if value not in REGIMES:
-                raise ValidationError(f"regime must be one of {REGIMES}, got {value!r}", field=slot)
-            fields["regime"] = value
-        elif slot == "experiment.train_n":
-            fields["train_n"] = _as_int(value, line_no)
-        elif slot == "experiment.val_n":
-            fields["val_n"] = _as_int(value, line_no)
-        elif slot == "experiment.out_dir":
-            fields["out_dir"] = value
-        elif slot == "experiment.seeds":
-            fields["seeds"] = _as_int_list(value, line_no)
-        elif slot == "experiment.delta":
-            fields["delta"] = _as_float(value, line_no)
-        elif slot == "mixture.source":
-            fields["mixture_source"] = value
-        elif slot == "mixture.fixture_seed":
-            fields["fixture_seed"] = _as_int(value, line_no)
-        elif slot == "mixture.dim":
-            fields["dim"] = _as_int(value, line_no)
-        elif slot == "mixture.components":
-            fields["components"] = _as_int(value, line_no)
-        elif slot == "train.gamma":
-            train = replace(train, gamma=_as_float(value, line_no))
-        elif slot == "train.objective":
-            train = replace(train, objective=value)
-        elif slot == "train.lsr_epsilon":
-            train = replace(train, lsr_epsilon=_as_float(value, line_no))
-        elif slot == "train.lr":
-            train = replace(train, lr=parse_lr(value, line_no))
-        elif slot == "train.weight_decay":
-            train = replace(train, weight_decay=_as_float(value, line_no))
-        elif slot == "train.batch_size":
-            train = replace(train, batch_size=_as_int(value, line_no))
-        elif slot == "train.epochs":
-            train = replace(train, epochs=_as_int(value, line_no))
-        elif slot == "train.train_feature_map":
-            train = replace(train, train_feature_map=_as_bool(value, line_no))
-        elif slot == "train.init_scale":
-            train = replace(train, init_scale=_as_float(value, line_no))
-        elif slot == "sweep.gammas":
-            fields["gammas"] = _as_float_list(value, line_no)
-        elif slot == "sweep.noise_fractions":
-            fields["noise_fractions"] = _as_float_list(value, line_no)
-        elif slot == "sweep.data_fractions":
-            fields["data_fractions"] = _as_float_list(value, line_no)
-        elif slot == "bounds.kinds":
-            fields["bounds_kinds"] = _as_str_list(value, line_no)
-        elif slot == "bounds.trials":
-            fields["bounds_trials"] = _as_int(value, line_no)
-        elif slot == "bounds.sample_counts":
-            fields["bounds_sample_counts"] = _as_int_list(value, line_no)
-        elif slot == "bounds.entropy_draws":
-            fields["bounds_entropy_draws"] = _as_int(value, line_no)
-        elif slot == "bounds.scales":
-            fields["bounds_scales"] = _as_float_list(value, line_no)
-        else:
+        if key not in _SCHEMA.get(section, {}):
             raise ValidationError(f"unknown key {key!r} in section [{section}]", field=slot)
+        if slot in first_line:
+            raise ParseError(f"{slot} is set twice (first on line {first_line[slot]})", line_no)
+        first_line[slot] = line_no
+        name, codec = _SCHEMA[section][key]
+        (train if section == "train" else fields)[name] = codec.read(value, line_no)
 
     src = fields.get("mixture_source", "")
     if src.startswith("file:"):
         # relative to the config file, not to the working directory
         fields["mixture_source"] = "file:" + os.path.abspath(Path(base_dir) / src[len("file:") :])
-    cfg = replace(cfg, train=train.validated(), **fields)
+    cfg = ExperimentConfig(train=TrainConfig(**train).validated(), **fields)
     _validate_config(cfg)
     return cfg
 
@@ -272,6 +285,10 @@ def check_seeds(seeds) -> None:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
+    if cfg.regime not in REGIMES:
+        raise ValidationError(
+            f"regime must be one of {REGIMES}, got {cfg.regime!r}", field="experiment.regime"
+        )
     if cfg.train_n < 1:
         raise ValidationError(
             f"train_n must be >= 1, got {cfg.train_n}", field="experiment.train_n"
@@ -301,16 +318,15 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         if cfg.dim < 1:
             raise ValidationError(f"dim must be >= 1, got {cfg.dim}", field="mixture.dim")
     for kind in cfg.bounds_kinds:
-        if kind not in ("weight_norm", "entropy_deviation", "empirical_weight_norm"):
+        if kind not in BOUND_KINDS:
             raise ValidationError(f"unknown bound kind {kind!r}", field="bounds.kinds")
-    # the minimums verify_bound and expected_entropy_mc enforce
-    if cfg.bounds_trials < 100:
+    if cfg.bounds_trials < MIN_TRIALS:
         raise ValidationError(
-            f"trials must be >= 100, got {cfg.bounds_trials}", field="bounds.trials"
+            f"trials must be >= {MIN_TRIALS}, got {cfg.bounds_trials}", field="bounds.trials"
         )
-    if cfg.bounds_entropy_draws < 100:
+    if cfg.bounds_entropy_draws < MIN_MC_DRAWS:
         raise ValidationError(
-            f"entropy_draws must be >= 100, got {cfg.bounds_entropy_draws}",
+            f"entropy_draws must be >= {MIN_MC_DRAWS}, got {cfg.bounds_entropy_draws}",
             field="bounds.entropy_draws",
         )
     if any(n < 1 for n in cfg.bounds_sample_counts):
@@ -330,46 +346,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    t = cfg.train
-    lines = [
-        "[experiment]",
-        f"regime = {cfg.regime}",
-        f"train_n = {cfg.train_n}",
-        f"val_n = {cfg.val_n}",
-        f"out_dir = {cfg.out_dir}",
-        "seeds = " + ",".join(str(s) for s in cfg.seeds),
-        f"delta = {cfg.delta!r}",
-        "",
-        "[mixture]",
-        f"source = {cfg.mixture_source}",
-        f"fixture_seed = {cfg.fixture_seed}",
-        f"dim = {cfg.dim}",
-        f"components = {cfg.components}",
-        "",
-        "[train]",
-        f"gamma = {t.gamma!r}",
-        f"objective = {t.objective}",
-        f"lsr_epsilon = {t.lsr_epsilon!r}",
-        f"lr = {serialize_lr(t.lr)}",
-        f"weight_decay = {t.weight_decay!r}",
-        f"batch_size = {t.batch_size}",
-        f"epochs = {t.epochs}",
-        f"train_feature_map = {'true' if t.train_feature_map else 'false'}",
-        f"init_scale = {t.init_scale!r}",
-        "",
-        "[sweep]",
-        "gammas = " + ",".join(repr(g) for g in cfg.gammas),
-        "noise_fractions = " + ",".join(repr(f) for f in cfg.noise_fractions),
-        "data_fractions = " + ",".join(repr(f) for f in cfg.data_fractions),
-        "",
-        "[bounds]",
-        "kinds = " + ",".join(cfg.bounds_kinds),
-        f"trials = {cfg.bounds_trials}",
-        "sample_counts = " + ",".join(str(n) for n in cfg.bounds_sample_counts),
-        f"entropy_draws = {cfg.bounds_entropy_draws}",
-        "scales = " + ",".join(repr(s) for s in cfg.bounds_scales),
-    ]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        owner = cfg.train if section == "train" else cfg
+        lines = [f"[{section}]"]
+        lines += [f"{key} = {codec.write(getattr(owner, name))}" for key, (name, codec) in keys.items()]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def resolve_mixture(cfg: ExperimentConfig) -> GaussianMixture:

@@ -40,6 +40,9 @@ from .mixtures import GaussianMixture, _pushforward, spectral_factor, validate
 # underflow would otherwise produce -inf * 0 artifacts.
 PROB_FLOOR = 1e-300
 
+# Fewest Monte-Carlo draws ``expected_entropy_mc`` takes.
+MIN_MC_DRAWS = 100
+
 
 @dataclass(eq=False)
 class LinearSoftmaxModel:
@@ -132,12 +135,17 @@ def predict_proba(model: LinearSoftmaxModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict_proba_batch(model: LinearSoftmaxModel, raw: np.ndarray) -> np.ndarray:
+    return _forward(model, _checked_batch(model, raw))[1]
+
+
+def _checked_batch(model: LinearSoftmaxModel, raw: np.ndarray) -> np.ndarray:
+    """``raw`` as float64 rows, checked against the model's input width and for finiteness."""
     x = np.asarray(raw, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.raw_dim:
         raise ShapeError(f"batch must be (N, {model.raw_dim}), got {x.shape}")
     if not np.isfinite(x).all():
         raise NonFiniteError("batch contains non-finite values")
-    return _forward(model, x)[1]
+    return x
 
 
 def _forward(model: LinearSoftmaxModel, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +202,8 @@ def expected_entropy_mc(
     So the draws are taken there directly: no feature vector is formed, and
     each draw costs min(C, n) normals instead of n (see ``_logit_entropies``).
     """
-    if draws < 100:
-        raise DomainError(f"draws must be >= 100, got {draws}")
+    if draws < MIN_MC_DRAWS:
+        raise DomainError(f"draws must be >= {MIN_MC_DRAWS}, got {draws}")
     validate(mixture)
     h = _logit_entropies(model, mixture, draws, derive_rng(seed, ENTROPY_MC))
     # the mean of a sample lies in its hull; clamping removes summation round-off
@@ -326,9 +334,10 @@ def maxent_gradient(
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     _check_labels(batch, model.class_count)
-    phi, p = _forward(model, batch.features)
+    x = _checked_batch(model, batch.features)
+    phi, p = _forward(model, x)
     g = logit_gradient(p, batch.labels, gamma)
-    grad_w, grad_a = _param_grads(model, batch.features, phi, g)
+    grad_w, grad_a = _param_grads(model, x, phi, g)
     if not np.isfinite(grad_w).all() or (grad_a is not None and not np.isfinite(grad_a).all()):
         raise NonFiniteError("gradient is not finite")
     return grad_w, grad_a

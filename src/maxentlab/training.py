@@ -71,7 +71,7 @@ class LrSchedule:
             if total_epochs <= 0:
                 return self.base
             return self.base * (1.0 - epoch / total_epochs)
-        raise ValidationError(f"unknown lr schedule kind {self.kind!r}", field="lr")
+        raise ValidationError(f"unknown lr schedule kind {self.kind!r}", field="train.lr")
 
 
 @dataclass(frozen=True)
@@ -88,30 +88,40 @@ class TrainConfig:
     init_scale: float = 0.0
 
     def validated(self) -> "TrainConfig":
+        """Self, if every field is usable; errors name the ``train.<key>`` config key."""
         if self.objective not in OBJECTIVES:
-            raise ValidationError(f"unknown objective {self.objective!r}", field="objective")
-        if self.lr.kind not in LR_KINDS:
-            raise ValidationError(f"unknown lr kind {self.lr.kind!r}", field="lr")
+            raise ValidationError(f"unknown objective {self.objective!r}", field="train.objective")
+        lr = self.lr
+        if lr.kind not in LR_KINDS:
+            raise ValidationError(f"unknown lr kind {lr.kind!r}", field="train.lr")
+        if not (np.isfinite(lr.base) and np.isfinite(lr.factor)):
+            raise ValidationError(
+                f"lr base and factor must be finite, got {lr.base}, {lr.factor}", field="train.lr"
+            )
+        if lr.kind == "step" and lr.interval < 1:
+            raise ValidationError(
+                f"lr step interval must be >= 1, got {lr.interval}", field="train.lr"
+            )
         for name in ("gamma", "lsr_epsilon", "weight_decay", "init_scale"):
             v = getattr(self, name)
             if not np.isfinite(v):
-                raise ValidationError(f"{name} must be finite, got {v}", field=name)
+                raise ValidationError(f"{name} must be finite, got {v}", field=f"train.{name}")
         if self.gamma < 0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma}", field="gamma")
+            raise ValidationError(f"gamma must be >= 0, got {self.gamma}", field="train.gamma")
         if not 0.0 <= self.lsr_epsilon < 1.0:
             raise ValidationError(
-                f"lsr_epsilon must lie in [0, 1), got {self.lsr_epsilon}", field="lsr_epsilon"
+                f"lsr_epsilon must lie in [0, 1), got {self.lsr_epsilon}", field="train.lsr_epsilon"
             )
         if self.weight_decay < 0:
             raise ValidationError(
-                f"weight_decay must be >= 0, got {self.weight_decay}", field="weight_decay"
+                f"weight_decay must be >= 0, got {self.weight_decay}", field="train.weight_decay"
             )
         if self.batch_size < 1:
             raise ValidationError(
-                f"batch_size must be >= 1, got {self.batch_size}", field="batch_size"
+                f"batch_size must be >= 1, got {self.batch_size}", field="train.batch_size"
             )
         if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}", field="epochs")
+            raise ValidationError(f"epochs must be >= 0, got {self.epochs}", field="train.epochs")
         return self
 
 
@@ -210,8 +220,8 @@ def train(
     """Run the configured number of epochs of mini-batch SGD.
 
     Returns a new model (inputs untouched) and the per-epoch history.
-    Raises DivergenceError, tagged with epoch and batch, if the loss stops
-    being finite.
+    Raises DivergenceError, tagged with epoch and batch, if the loss or the
+    trained parameters stop being finite.
     """
     config = config.validated()
     if train_set.size == 0:
@@ -275,9 +285,15 @@ def train(
             if train_a:
                 model.feature_map -= lr * (grad_a + decay * model.feature_map)
             model.weights -= lr * (grad_w + decay * model.weights)
+        # the epoch's last update may have overflowed: without a validation
+        # set no forward pass would see it before the model is returned
+        if not np.isfinite(model.weights).all() or (
+            train_a and not np.isfinite(model.feature_map).all()
+        ):
+            raise diverged("parameters", epoch + 1, batch_idx)
         try:
             records.append(record(epoch + 1, ce_sum / n, h_sum / n, lr))
-        except NonFiniteError as err:  # the epoch's last update overflowed
+        except NonFiniteError as err:  # finite parameters whose logits overflow
             raise diverged("parameters", epoch + 1, batch_idx, err) from err
     return model, TrainHistory(records)
 

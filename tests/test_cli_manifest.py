@@ -155,6 +155,8 @@ class TestCliCommands:
             (["synth"], "[mixture]\nsource = fixture_spectrum\ndim = 4\n"),
             (["bounds", "verify"], "[mixture]\ncomponents = 0\n"),
             (["bounds", "verify"], "[bounds]\nkinds =\n"),
+            (["train"], "[train]\nlr = step:0.1:0.5:0\n"),
+            (["train"], "[experiment]\nseeds = 1\nseeds = 2\n"),
         ],
     )
     def test_unrunnable_config_is_an_error(self, tmp_path, capsys, argv, body):

@@ -1,11 +1,18 @@
 """Config text round trips and strict rejection of malformed input."""
 
 import dataclasses
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maxentlab.bounds import BOUND_KINDS, MIN_TRIALS
 from maxentlab.configio import (
+    _SCHEMA,
+    REGIMES,
     ExperimentConfig,
     parse_config,
     parse_lr,
@@ -14,9 +21,10 @@ from maxentlab.configio import (
     serialize_config,
     serialize_mixture,
 )
+from maxentlab.core import MIN_MC_DRAWS
 from maxentlab.errors import ParseError, ValidationError
 from maxentlab.mixtures import GaussianMixture
-from maxentlab.training import LrSchedule
+from maxentlab.training import OBJECTIVES, LrSchedule, TrainConfig
 
 from conftest import random_mixture
 
@@ -91,12 +99,35 @@ class TestParseErrors:
             ("[mixture]\nsource = fixture_spectrum\ncomponents = 1\n", "mixture.components"),
             ("[mixture]\ndim = 0\n", "mixture.dim"),
             ("[experiment]\nseeds = 1,2,1\n", "experiment.seeds"),
+            ("[experiment]\nregime = medium\n", "experiment.regime"),
+            ("[train]\nobjective = adam\n", "train.objective"),
+            ("[train]\ngamma = -0.5\n", "train.gamma"),
+            ("[train]\nlsr_epsilon = 1.0\n", "train.lsr_epsilon"),
+            ("[train]\nbatch_size = 0\n", "train.batch_size"),
+            ("[train]\nlr = step:0.1:0.5:0\n", "train.lr"),
+            ("[train]\nlr = step:0.1:0.5:-2\n", "train.lr"),
+            ("[train]\nlr = constant:inf\n", "train.lr"),
+            ("[train]\nlr = step:0.1:nan:5\n", "train.lr"),
         ],
     )
     def test_rejects_values_the_pipelines_cannot_run(self, text, field):
         with pytest.raises(ValidationError) as err:
             parse_config(text)
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[experiment]\nseeds = 1\n\nseeds = 2\n",
+            # a repeated header is legal, but it does not reopen its keys
+            "[train]\nepochs = 3\n[sweep]\ngammas = 0\n[train]\nepochs = 4\n",
+        ],
+    )
+    def test_key_set_twice(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_config(text)
+        assert err.value.line_no == len(text.splitlines())
+        assert "is set twice" in str(err.value)
 
 
 class TestLrParsing:
@@ -160,6 +191,89 @@ class TestRoundTrip:
             )
             text = serialize_config(cfg)
             assert parse_config(text) == cfg, text
+
+    @given(cfg=st.builds(
+        ExperimentConfig,
+        regime=st.sampled_from(REGIMES),
+        train_n=st.integers(1, 10**9),
+        val_n=st.integers(1, 10**9),
+        out_dir=st.text("ab/_. -", max_size=12).filter(lambda s: s == s.strip()),
+        seeds=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=6, unique=True).map(tuple),
+        delta=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        # any existing file passes parse_config's file: check
+        mixture_source=st.sampled_from(
+            ["fixture", "fixture_spectrum", "file:" + os.path.abspath(__file__)]
+        ),
+        fixture_seed=st.integers(-(2**40), 2**40),
+        dim=st.integers(1, 512),
+        components=st.integers(2, 512),
+        train=st.builds(
+            TrainConfig,
+            gamma=st.floats(0.0, 1e300),
+            objective=st.sampled_from(OBJECTIVES),
+            lsr_epsilon=st.floats(0.0, 1.0, exclude_max=True),
+            lr=st.one_of(
+                st.builds(
+                    LrSchedule,
+                    st.sampled_from(["constant", "linear"]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                st.builds(
+                    LrSchedule,
+                    st.just("step"),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(1, 10**6),
+                ),
+            ),
+            weight_decay=st.floats(0.0, 1e300),
+            batch_size=st.integers(1, 10**6),
+            epochs=st.integers(0, 10**6),
+            train_feature_map=st.booleans(),
+            init_scale=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        gammas=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=5).map(tuple),
+        noise_fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(tuple),
+        data_fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(tuple),
+        bounds_kinds=st.lists(st.sampled_from(BOUND_KINDS), min_size=1, max_size=4).map(tuple),
+        bounds_trials=st.integers(MIN_TRIALS, 10**9),
+        bounds_sample_counts=st.lists(st.integers(1, 10**9), min_size=1, max_size=4).map(tuple),
+        bounds_entropy_draws=st.integers(MIN_MC_DRAWS, 10**9),
+        bounds_scales=st.lists(
+            st.floats(0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=4
+        ).map(tuple),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_varies_every_key(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_defaults_serialize_to_the_manifest_echo(self):
+        # manifest.json echoes this text: a change here changes every run's digest
+        assert serialize_config(ExperimentConfig()) == (
+            "[experiment]\nregime = fine_grained\ntrain_n = 200\nval_n = 5000\nout_dir = \n"
+            "seeds = 1,2,3,4,5,6\ndelta = 0.1\n\n"
+            "[mixture]\nsource = fixture\nfixture_seed = 7\ndim = 16\ncomponents = 10\n\n"
+            "[train]\ngamma = 1.0\nobjective = maxent\nlsr_epsilon = 0.1\nlr = constant:0.1\n"
+            "weight_decay = 0.0\nbatch_size = 32\nepochs = 100\ntrain_feature_map = false\n"
+            "init_scale = 0.0\n\n"
+            "[sweep]\ngammas = 0.0,0.5,1.0\nnoise_fractions = 0.0,0.1,0.2,0.3\n"
+            "data_fractions = 0.25,0.5,1.0\n\n"
+            "[bounds]\nkinds = weight_norm,entropy_deviation,empirical_weight_norm\n"
+            "trials = 1000\nsample_counts = 100,1000,10000\nentropy_draws = 100000\n"
+            "scales = 0.1,1.0,10.0\n"
+        )
+
+    def test_every_field_has_exactly_one_key(self):
+        # TrainConfig.seed has no key: each arm sets its own
+        keyed = Counter(
+            (section == "train", name)
+            for section, keys in _SCHEMA.items()
+            for name, _ in keys.values()
+        )
+        fields = {(False, f.name) for f in dataclasses.fields(ExperimentConfig) if f.name != "train"}
+        fields |= {(True, f.name) for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
+        assert set(keyed) == fields
+        assert set(keyed.values()) == {1}
 
     def test_comments_and_blank_lines_ignored(self):
         text = "\n# leading comment\n[train]\n\ngamma = 2.0  # trailing\n\n"

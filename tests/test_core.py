@@ -294,6 +294,18 @@ class TestGradient:
         assert grad_a is None
         assert rel_err(grad_w, fd_w) <= 1e-6
 
+    def test_batch_of_the_wrong_width_is_a_shape_error(self, rng):
+        ds = LabeledDataset(rng.normal(size=(4, 5)), rng.integers(0, 3, 4))
+        with pytest.raises(ShapeError):
+            maxent_gradient(LinearSoftmaxModel(rng.normal(size=(3, 2))), ds, 1.0)
+
+    def test_non_finite_batch_is_rejected_on_entry(self, rng):
+        features = rng.normal(size=(4, 2))
+        features[1, 0] = np.nan
+        ds = LabeledDataset(features, rng.integers(0, 3, 4))
+        with pytest.raises(NonFiniteError, match="batch contains non-finite values"):
+            maxent_gradient(LinearSoftmaxModel(rng.normal(size=(3, 2))), ds, 1.0)
+
     def test_matches_finite_differences_with_feature_map(self, rng):
         model = LinearSoftmaxModel(rng.normal(size=(4, 5)), rng.normal(size=(5, 6)))
         ds = LabeledDataset(rng.normal(size=(12, 6)), rng.integers(0, 4, 12))

@@ -219,6 +219,15 @@ class TestTrain:
             train(init_model(2, 2, 2, 0.0, seed=1), ds, blobs(seed=2), cfg)
         assert (err.value.epoch, err.value.batch) == (2, 0)
 
+    def test_divergence_without_validation_set_is_a_divergence_error(self):
+        # the same overflow with no validation pass to see it: the parameters
+        # themselves are checked at every epoch end
+        ds = blobs(count=10)
+        cfg = quick_cfg(epochs=2, lr=LrSchedule("constant", 1e200), weight_decay=1.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            train(init_model(2, 2, 2, 0.0, seed=1), ds, None, cfg)
+        assert (err.value.epoch, err.value.batch) == (2, 0)
+
     def test_incomplete_final_batch_used(self):
         # 10 samples at batch 8: second batch has 2 rows and still updates
         ds = blobs(count=10)
