@@ -9,9 +9,16 @@ that is what makes datasets, training runs and verification trials
 reproducible down to the byte. Gaussian variates are produced by
 Generator.standard_normal (ziggurat); nothing touches numpy's legacy
 global RNG.
+
+Because every task (a training arm, a verification trial) draws only from its
+own derived stream, tasks can run in any order on any number of threads:
+``_parallel`` is the package's one thread pool, and the thread count never
+changes output.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,3 +43,12 @@ def derive_rng(seed: int, *context: int) -> np.random.Generator:
             raise TypeError(f"stream context tags must be integers, got {tag!r}")
         entropy.append(int(tag) & _MASK64)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def _parallel(tasks, threads: int):
+    """Run no-arg callables, preserving order regardless of thread count."""
+    if threads <= 1 or len(tasks) <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        return [f.result() for f in futures]

@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._streams import TRIAL, derive_rng
+from ._streams import TRIAL, _parallel, derive_rng
 from .core import LinearSoftmaxModel, _logit_entropies, expected_entropy_mc
 from .diversity import analytic_diversity
 from .errors import DomainError
@@ -107,6 +107,10 @@ def _empirical_denominator(nu: float, var_sqnorm: float, sample_count: int, delt
     return 2.0 * math.sqrt(nu) - math.sqrt((2.0 / n) * inflated * math.log(2.0 / delta))
 
 
+def _asymptotic_denominator(nu: float, sample_count: int, delta: float) -> float:
+    return (2.0 - math.sqrt((2.0 / sample_count) * math.log(2.0 / delta))) * math.sqrt(nu)
+
+
 def empirical_weight_norm_lower_bound(
     class_count: int,
     empirical_mean_entropy: float,
@@ -145,7 +149,7 @@ def empirical_weight_norm_lower_bound_asymptotic(
     """
     if nu <= 0:
         raise DomainError(f"nu must be > 0, got {nu}")
-    denom = (2.0 - math.sqrt((2.0 / sample_count) * math.log(2.0 / delta))) * math.sqrt(nu)
+    denom = _asymptotic_denominator(nu, sample_count, delta)
     if denom <= 0:
         raise DomainError(f"denominator {denom:g} is not positive; bound inapplicable")
     return (math.log(class_count) - empirical_mean_entropy) / denom
@@ -218,6 +222,10 @@ class TrialRow:
     violated: bool
     extra_inf_bound: float | None = None
 
+    def csv_row(self) -> tuple:
+        """This trial's line of verify.csv, under ``VERIFY_CSV_HEADER``."""
+        return (self.trial, self.kind, self.observed, self.bound, self.margin, self.violated)
+
 
 @dataclass(eq=False)
 class VerificationSummary:
@@ -232,8 +240,30 @@ class VerificationSummary:
     rows: list[TrialRow]
     extras: dict
 
+    def csv_row(self) -> tuple:
+        """This job's line of bounds_summary.csv, under ``BOUNDS_SUMMARY_CSV_HEADER``."""
+        return (
+            self.kind, self.sample_count, self.trials, self.violation_count,
+            self.violation_rate, self.delta, self.worst_margin, self.inapplicable_count,
+        )
+
+    def text(self) -> str:
+        """This job's lines of bounds_summary.txt."""
+        text = (
+            f"{self.kind} N={self.sample_count}: violation rate {self.violation_rate:.4f} "
+            f"vs delta {self.delta} (worst margin {self.worst_margin:.6g})\n"
+        )
+        if "exact_denominator" in self.extras:
+            text += (
+                f"  empirical-bound denominators at N={self.sample_count}: "
+                f"exact {self.extras['exact_denominator']:.6g}, "
+                f"asymptotic {self.extras['asymptotic_denominator']:.6g}\n"
+            )
+        return text
+
 
 VERIFY_CSV_HEADER = "trial,theorem,observed,bound,margin,violated"
+BOUNDS_SUMMARY_CSV_HEADER = "kind,sample_count,trials,violations,rate,delta,worst_margin,inapplicable"
 
 
 def verify_bound(
@@ -319,15 +349,7 @@ def verify_bound(
             bool(margin < -_margin_tol(bound)), extra,
         )
 
-    # trials are independent with per-trial derived streams, so the pool size
-    # never changes the report
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_trial, range(trials)))
-    else:
-        outcomes = [run_trial(t) for t in range(trials)]
+    outcomes = _parallel([lambda t=t: run_trial(t) for t in range(trials)], threads)
 
     rows = [r for r in outcomes if r is not None]
     inapplicable = sum(1 for r in outcomes if r is None)
@@ -336,13 +358,11 @@ def verify_bound(
     inf_bounds = [r.extra_inf_bound for r in rows if r.extra_inf_bound is not None]
 
     effective = len(rows)
-    extras = {"nu": nu, "var_sqnorm": var_sqnorm}
+    extras = {}
     if inf_bounds:
         extras["mean_bound_w_inf"] = float(np.mean(inf_bounds))
     if kind == "empirical_weight_norm":
-        extras["asymptotic_denominator"] = (
-            2.0 - math.sqrt((2.0 / sample_count) * math.log(2.0 / delta))
-        ) * math.sqrt(nu)
+        extras["asymptotic_denominator"] = _asymptotic_denominator(nu, sample_count, delta)
         extras["exact_denominator"] = _empirical_denominator(nu, var_sqnorm, sample_count, delta)
     return VerificationSummary(
         kind=kind,

@@ -1,8 +1,11 @@
 """Command-line entry point.
 
 Subcommands: synth, train, figure KIND, bounds verify, report. Output goes
-to --out, else the config's out_dir, else $MAXENTLAB_OUT/<command>. Every
-command exits 0 on success and 1 on any error, removing partial artifacts.
+to --out, else the config's out_dir, else $MAXENTLAB_OUT/<command>.
+--threads runs the arms of train and figure in parallel, and the trials of
+each bound in bounds verify; synth ignores it. Every command exits 0 on
+success and 1 on any error, leaving its output directory as it was,
+including any previous run there.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .configio import check_seeds, parse_config
-from .errors import MaxentLabError
+from .configio import _as_int_list, check_seeds, parse_config
+from .errors import MaxentLabError, ParseError
 from .figures import FIGURE_KINDS, run_bounds_verify, run_figure, run_report, run_synth, run_train
 
 
@@ -27,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seeds", default=None, help="comma-separated seed override")
-        p.add_argument("--threads", type=int, default=1, help="parallel arms")
+        p.add_argument("--threads", type=int, default=1, help="parallel arms or bound trials")
 
     common(sub.add_parser("synth", help="sample and export synthetic datasets"))
     common(sub.add_parser("train", help="train one model per seed"))
@@ -52,21 +55,11 @@ def _resolve_out(args, cfg_out_dir: str, command: str) -> Path:
     return Path(root) / command
 
 
-def _parse_seeds(text: str | None, default) -> list[int]:
-    if text is None:
-        return list(default)
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise MaxentLabError(f"--seeds must be comma-separated integers, got {text!r}") from None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            out = Path(args.out) if args.out else Path(os.environ.get("MAXENTLAB_OUT", "runs")) / "report"
-            manifest = run_report(args.manifests, out)
+            manifest = run_report(args.manifests, _resolve_out(args, "", "report"))
             print(manifest)
             return 0
         config_path = Path(args.config)
@@ -75,7 +68,10 @@ def main(argv=None) -> int:
         except OSError as err:
             raise MaxentLabError(f"cannot read config {config_path}: {err}") from err
         cfg = parse_config(text, base_dir=config_path.parent)
-        seeds = _parse_seeds(args.seeds, cfg.seeds)
+        try:
+            seeds = cfg.seeds if args.seeds is None else _as_int_list(args.seeds, None)
+        except ParseError as err:
+            raise ParseError(f"--seeds {args.seeds!r}: {err}") from None
         check_seeds(seeds)
         if args.command == "synth":
             out = _resolve_out(args, cfg.out_dir, "synth")

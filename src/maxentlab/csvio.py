@@ -41,12 +41,18 @@ def csv_text(header: str, rows) -> str:
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Header cells and raw string rows; callers coerce types themselves."""
+    """Header cells and raw string rows, each cell exactly as ``format_cell`` wrote it.
+
+    Callers coerce types themselves. Only LF ends a line, so a cell keeps any
+    carriage return, and a row of one empty cell is a row.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as err:
         raise IoError(f"cannot read {path}: {err}") from err
-    lines = [ln for ln in text.split("\n") if ln != ""]
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final line ending
     if not lines:
         raise IoError(f"{path} is empty")
     header = lines[0].split(",")

@@ -19,14 +19,14 @@ any two arms at the same seed see identical data.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import VERIFY_CSV_HEADER, uniform_model_sampler, verify_bound
+from ._streams import _parallel
+from .bounds import BOUNDS_SUMMARY_CSV_HEADER, VERIFY_CSV_HEADER, uniform_model_sampler, verify_bound
 from .checkpoint import save_checkpoint
 from .configio import ExperimentConfig, resolve_mixture, serialize_config, serialize_mixture
 from .csvio import csv_text, read_csv
@@ -180,15 +180,6 @@ def run_arm(
     )
 
 
-def _parallel(tasks, threads: int):
-    """Run no-arg callables, preserving order regardless of thread count."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 def _open_session(cfg: ExperimentConfig, out_dir: Path, command: str) -> ArtifactSession:
     return ArtifactSession(out_dir, command, serialize_config(cfg), __version__)
 
@@ -201,10 +192,6 @@ def _median(values) -> float:
 # The arm grid: per pipeline, the arms it trains at each seed and a reducer
 # that writes its CSVs from the trained arms
 # ---------------------------------------------------------------------------
-
-
-def _label(res: ArmResult) -> str:
-    return "ce" if res.gamma == 0.0 else "maxent"
 
 
 def _accuracy(arms) -> float:
@@ -249,7 +236,7 @@ def _reduce_spectrum(cfg, session: ArtifactSession, seeds, mixture, results) -> 
     for seed in seeds:
         rep = empirical_diversity(sample(mixture, cfg.val_n, seed=val_dataset_seed(seed)).features)
         spectra.append(("none", seed, rep, spectrum_tail_mass(rep, k)))
-    spectra += [(_label(r), r.seed, r.spectrum, r.tail_mass) for r in results]
+    spectra += [(r.objective, r.seed, r.spectrum, r.tail_mass) for r in results]
     tails: dict[str, list[float]] = {"none": [], "ce": [], "maxent": []}
     for label, seed, rep, tail in spectra:
         session.write_text(
@@ -267,10 +254,10 @@ def _reduce_top_prob_hist(cfg, session: ArtifactSession, seeds, mixture, results
         counts = res.val_report.top_prob_histogram
         rows = [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)]
         session.write_text(
-            f"top_prob_hist_{_label(res)}_seed{res.seed}.csv", csv_text("bin_lo,bin_hi,count", rows)
+            f"top_prob_hist_{res.objective}_seed{res.seed}.csv", csv_text("bin_lo,bin_hi,count", rows)
         )
     med = [
-        (label, _median([r.val_report.top_prob_mean for r in results if _label(r) == label]))
+        (label, _median([r.val_report.top_prob_mean for r in results if r.objective == label]))
         for label in ("ce", "maxent")
     ]
     session.write_text("top_prob_means.csv", csv_text("arm,median_top_prob_mean", med))
@@ -300,7 +287,7 @@ def _reduce_noise_sweep(cfg, session: ArtifactSession, seeds, mixture, results) 
 def _reduce_ce_vs_val(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
     for res in results:
         history = csv_text(HISTORY_CSV_HEADER, res.history.csv_rows())
-        session.write_text(f"history_{_label(res)}_seed{res.seed}.csv", history)
+        session.write_text(f"history_{res.objective}_seed{res.seed}.csv", history)
 
 
 def _reduce_data_fraction_sweep(cfg, session: ArtifactSession, seeds, mixture, results) -> None:
@@ -416,71 +403,33 @@ def run_figure(cfg: ExperimentConfig, kind: str, out_dir: Path, seeds, threads: 
 
 
 def run_bounds_verify(cfg: ExperimentConfig, out_dir: Path, seeds, threads: int = 1) -> Path:
+    """Verify each bound kind at each sample count; ``threads`` runs the trials of one."""
     mixture = resolve_mixture(cfg)
-    base_seed = seeds[0]
     with _open_session(cfg, out_dir, "bounds verify") as session:
         session.write_text("mixture.txt", serialize_mixture(mixture))
         sampler = uniform_model_sampler(mixture.count, mixture.dim, cfg.bounds_scales)
-        verify_rows = []
-        summary_rows = []
-        lines = []
-        jobs = []
-        for kind in cfg.bounds_kinds:
-            counts = [cfg.bounds_sample_counts[0]] if kind == "weight_norm" else cfg.bounds_sample_counts
-            for n in counts:
-                jobs.append((kind, n))
-
-        def one(kind: str, n: int):
-            return verify_bound(
+        counts = cfg.bounds_sample_counts
+        summaries = [
+            verify_bound(
                 kind,
                 mixture,
                 sampler,
                 sample_count=n,
                 delta=cfg.delta,
                 trials=cfg.bounds_trials,
-                seed=base_seed,
+                seed=seeds[0],
                 entropy_draws=cfg.bounds_entropy_draws,
+                threads=threads,
             )
-
-        summaries = _parallel([lambda k=k, n=n: one(k, n) for k, n in jobs], threads)
+            for kind in cfg.bounds_kinds
+            for n in (counts[:1] if kind == "weight_norm" else counts)
+        ]
         session.mark_stage("verify")
-        for summary in summaries:
-            for row in summary.rows:
-                verify_rows.append(
-                    (row.trial, row.kind, row.observed, row.bound, row.margin, row.violated)
-                )
-            summary_rows.append(
-                (
-                    summary.kind,
-                    summary.sample_count,
-                    summary.trials,
-                    summary.violation_count,
-                    summary.violation_rate,
-                    summary.delta,
-                    summary.worst_margin,
-                    summary.inapplicable_count,
-                )
-            )
-            lines.append(
-                f"{summary.kind} N={summary.sample_count}: violation rate "
-                f"{summary.violation_rate:.4f} vs delta {summary.delta} "
-                f"(worst margin {summary.worst_margin:.6g})"
-            )
-            if "exact_denominator" in summary.extras:
-                lines.append(
-                    f"  empirical-bound denominators at N={summary.sample_count}: "
-                    f"exact {summary.extras['exact_denominator']:.6g}, "
-                    f"asymptotic {summary.extras['asymptotic_denominator']:.6g}"
-                )
+        verify_rows = [row.csv_row() for summary in summaries for row in summary.rows]
         session.write_text("verify.csv", csv_text(VERIFY_CSV_HEADER, verify_rows))
-        session.write_text(
-            "bounds_summary.csv",
-            csv_text(
-                "kind,sample_count,trials,violations,rate,delta,worst_margin,inapplicable",
-                summary_rows,
-            ),
-        )
-        session.write_text("bounds_summary.txt", "\n".join(lines) + "\n")
+        summary_rows = [summary.csv_row() for summary in summaries]
+        session.write_text("bounds_summary.csv", csv_text(BOUNDS_SUMMARY_CSV_HEADER, summary_rows))
+        session.write_text("bounds_summary.txt", "".join(summary.text() for summary in summaries))
         session.mark_stage("write")
         return session.finish()
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,8 +59,10 @@ class RunManifest:
 class ArtifactSession:
     """Collects artifact writes for one command and guarantees all-or-nothing.
 
-    On success, ``finish`` writes the manifest last. On failure, ``abort``
-    removes every file this session created so no partial artifacts remain;
+    Artifacts are written into a ``.staging-*`` directory inside ``out_dir``
+    (so each publishing rename stays on one filesystem), and ``finish`` moves
+    them into place, the manifest last. ``abort`` removes the staging directory,
+    so a failed run leaves ``out_dir``, and any previous run in it, as it was;
     as a context manager, the session aborts when its block raises.
     """
 
@@ -65,12 +70,13 @@ class ArtifactSession:
         self.out_dir = Path(out_dir)
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
+            self.staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.out_dir))
         except OSError as err:
             raise IoError(f"cannot create {out_dir}: {err}") from err
         self.command = command
         self.config_text = config_text
         self.tool_version = tool_version
-        self.created: list[Path] = []
+        self.created: list[str] = []
         self.stages: list[tuple[str, float]] = []
         self._stage_started = time.monotonic()
 
@@ -82,13 +88,11 @@ class ArtifactSession:
             self.abort()
 
     def path(self, name: str) -> Path:
-        """Register a new artifact; a name may be created once per session."""
-        p = self.out_dir / name
-        if p in self.created:
+        """Register a new artifact and return its staged path; a name may be created once."""
+        if name in self.created:
             raise ManifestError(f"artifact {name} is created twice in one run")
-        p.parent.mkdir(parents=True, exist_ok=True)
-        self.created.append(p)
-        return p
+        self.created.append(name)
+        return self.staging / name
 
     def write_text(self, name: str, text: str) -> Path:
         p = self.path(name)
@@ -96,7 +100,7 @@ class ArtifactSession:
             with open(p, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as err:
-            raise IoError(f"cannot write {p}: {err}") from err
+            raise IoError(f"cannot write {self.out_dir / name}: {err}") from err
         return p
 
     def mark_stage(self, name: str) -> None:
@@ -105,34 +109,33 @@ class ArtifactSession:
         self._stage_started = now
 
     def abort(self) -> None:
-        for p in reversed(self.created):
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
-        self.created.clear()
+        shutil.rmtree(self.staging, ignore_errors=True)
         try:
             self.out_dir.rmdir()  # only succeeds when nothing else lives there
         except OSError:
             pass
 
     def finish(self) -> Path:
-        artifacts = []
-        for p in self.created:
-            artifacts.append(
-                {
-                    "path": str(p.relative_to(self.out_dir)),
-                    "sha256": sha256_file(p),
-                    "bytes": p.stat().st_size,
-                }
+        """Publish the staged artifacts, then the manifest that lists them."""
+        names = self.created + [MANIFEST_NAME]
+        try:
+            artifacts = []
+            for name in self.created:
+                p = self.staging / name
+                artifacts.append({"path": name, "sha256": sha256_file(p), "bytes": p.stat().st_size})
+            manifest = RunManifest(
+                self.tool_version, self.command, self.config_text, self.stages, artifacts
             )
-        manifest = RunManifest(
-            self.tool_version, self.command, self.config_text, self.stages, artifacts
-        )
-        target = self.out_dir / MANIFEST_NAME
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(manifest.to_json())
-        return target
+            (self.staging / MANIFEST_NAME).write_bytes(manifest.to_json().encode("utf-8"))
+            for name in names:
+                if (self.out_dir / name).is_dir():
+                    raise IoError(f"cannot replace directory {self.out_dir / name}")
+            for name in names:
+                os.replace(self.staging / name, self.out_dir / name)
+            self.staging.rmdir()
+        except OSError as err:
+            raise IoError(f"cannot publish the run in {self.out_dir}: {err}") from err
+        return self.out_dir / MANIFEST_NAME
 
 
 def load_manifest(path: Path, verify: bool = True) -> RunManifest:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maxentlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from maxentlab.core import LinearSoftmaxModel
@@ -39,6 +42,36 @@ class TestRoundTrip:
         save_checkpoint(model, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def float_matrices(rows, cols):
+    # every finite float64, signed zeros and subnormals included
+    return arrays(np.float64, (rows, cols), elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def models(draw, with_map):
+    c, n = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    weights = draw(float_matrices(c, n))
+    if not with_map:
+        return LinearSoftmaxModel(weights)
+    return LinearSoftmaxModel(weights, draw(float_matrices(n, draw(st.integers(1, 6)))))
+
+
+class TestRoundTripProperty:
+    @pytest.mark.parametrize("with_map", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_save_load_is_bit_exact(self, tmp_path_factory, with_map, data):
+        model = data.draw(models(with_map))
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        if with_map:
+            assert loaded.feature_map.tobytes() == model.feature_map.tobytes()
+        else:
+            assert loaded.feature_map is None
 
 
 class TestCorruption:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxentlab.cli import main
 from maxentlab.configio import parse_config
@@ -27,6 +29,18 @@ lr = constant:0.2
 [sweep]
 gammas = 0,1
 """
+
+
+# every kind of value csv_text formats
+CSV_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.text(st.characters(exclude_characters=",\n")),
+)
 
 
 @pytest.fixture
@@ -59,6 +73,26 @@ class TestCsvIo:
         header, rows = read_csv(p)
         assert header == ["a", "b"] and rows == [["1", "2"]]
 
+    @given(
+        table=st.integers(1, 4).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(st.lists(CSV_CELLS, min_size=width, max_size=width), max_size=5),
+            )
+        )
+    )
+    @example(table=(1, [[None]]))  # a row that is one empty cell
+    @example(table=(2, [["x\ry", 1.5]]))  # only LF ends a line
+    @settings(max_examples=100, deadline=None)
+    def test_csv_round_trip_returns_each_formatted_cell(self, tmp_path_factory, table):
+        width, rows = table
+        header = ",".join(f"c{i}" for i in range(width))
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(csv_text(header, rows).encode("utf-8"))
+        read_header, read_rows = read_csv(path)
+        assert read_header == header.split(",")
+        assert read_rows == [[format_cell(v) for v in row] for row in rows]
+
 
 class TestArtifactSession:
     def test_abort_removes_files(self, tmp_path):
@@ -89,10 +123,10 @@ class TestArtifactSession:
 
     def test_name_created_twice_is_refused(self, tmp_path):
         session = ArtifactSession(tmp_path / "run", "test", "", "0")
-        session.write_text("a.csv", "x\n")
+        first = session.write_text("a.csv", "x\n")
         with pytest.raises(ManifestError):
             session.write_text("a.csv", "y\n")
-        assert (tmp_path / "run" / "a.csv").read_text() == "x\n"
+        assert first.read_text() == "x\n"
 
     def test_missing_artifact_fails_verification(self, tmp_path):
         out = tmp_path / "run"
@@ -138,6 +172,14 @@ class TestCliCommands:
         assert (out / "train_seed3.csv").exists()
         assert (out / "train_seed4.csv").exists()
         assert not (out / "train_seed1.csv").exists()
+
+    def test_seed_override_with_an_empty_item_is_an_error(self, quick_cfg_path, tmp_path, capsys):
+        # the config parser refuses "seeds = 1,,2"; the flag reads through the same codec
+        out = tmp_path / "s"
+        assert main(["train", "--config", str(quick_cfg_path), "--out", str(out), "--seeds", "1,,2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seeds" in err, err
+        assert not out.exists()
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -235,7 +277,41 @@ class TestCliCommands:
         p.write_text(QUICK)
         out = tmp_path / "spec"
         assert main(["figure", "spectrum", "--config", str(p), "--out", str(out)]) == 1
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+
+class TestFailedRerun:
+    """A failed rerun into an existing run directory leaves the previous run intact."""
+
+    def _train(self, out, seeds):
+        return main(["train", "--config", str(CONFIGS / "quick.cfg"), "--seeds", seeds, "--out", str(out)])
+
+    def _assert_previous_run_intact(self, out):
+        load_manifest(out / "manifest.json", verify=True)
+        assert not list(out.glob(".staging-*"))
+
+    def test_directory_in_place_of_an_artifact(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert self._train(out, "1") == 0
+        (out / "history_seed2.csv").mkdir()
+        assert self._train(out, "1,2") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        self._assert_previous_run_intact(out)
+
+    def test_write_failing_mid_run(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "r"
+        assert self._train(out, "1") == 0
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            # the second seed's history fails after mixture.txt and seed 1 are staged
+            if Path(file).name == "history_seed2.csv":
+                raise OSError(28, "No space left on device")
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("maxentlab.manifest.open", failing_open, raising=False)
+        assert self._train(out, "1,2") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        self._assert_previous_run_intact(out)
 
 
 class TestReport:

@@ -106,11 +106,11 @@ def test_spectrum_figure(tmp_path):
     assert len(rows) == cfg.dim
 
 
+SMALL_BOUNDS = SMALL + "\n[bounds]\ntrials = 100\nsample_counts = 100\nentropy_draws = 500\n"
+
+
 def test_bounds_verify_pipeline(tmp_path):
-    cfg = parse_config(
-        SMALL
-        + "\n[bounds]\ntrials = 100\nsample_counts = 100\nentropy_draws = 500\n"
-    )
+    cfg = parse_config(SMALL_BOUNDS)
     manifest = run_bounds_verify(cfg, tmp_path / "b", [1])
     names = {a["path"] for a in load_manifest(manifest).artifacts}
     assert {"verify.csv", "bounds_summary.csv", "bounds_summary.txt"} <= names
@@ -154,3 +154,12 @@ def test_threaded_figure_matches_serial(small_cfg, tmp_path):
 def test_threaded_pipeline_matches_serial(small_cfg, tmp_path, kind):
     cfg = parse_config(SMALL_SPECTRUM) if kind == "spectrum" else small_cfg
     _assert_threads_do_not_change_artifacts(cfg, kind, tmp_path)
+
+
+def test_threaded_bounds_verify_matches_serial(tmp_path):
+    cfg = parse_config(SMALL_BOUNDS.replace("sample_counts = 100", "sample_counts = 50,200"))
+    digests = [
+        load_manifest(run_bounds_verify(cfg, tmp_path / f"threads{t}", [1], threads=t)).digest()
+        for t in (1, 2)
+    ]
+    assert digests[0] == digests[1]
