@@ -18,11 +18,17 @@ The analytic logit gradient of the combined objective is
     g_j = (p_j - y_j) + gamma * p_j * (ln p_j + H(p))
 
 with H the entropy of p; parameter gradients follow by the chain rule and
-are checked against central finite differences in the test suite.
+are checked against central finite differences in the test suite. One
+SGD batch takes a single ln p of its probabilities (floored at PROB_FLOOR,
+in ``_log_entropies``): H is -sum p ln p of it, and ``logit_gradient``
+reuses both; the cross-entropy logs only the label probabilities.
 
 Models are immutable during evaluation; every function here is pure, and
 reductions use numpy's fixed pairwise summation so results do not depend on
-thread count.
+thread count. The forward pass normalises its freshly computed logits in
+place (shift, exp and divide in one array), and the Monte-Carlo kernel
+reuses one set of block buffers per call; both keep every float operation
+and its order, so results are the same bits as with fresh temporaries.
 """
 
 from __future__ import annotations
@@ -115,12 +121,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_batch(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
+    """Row-wise softmax of a logit batch; ``logits`` itself is left untouched."""
+    return _softmax_rows(np.array(logits, dtype=np.float64))
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a float64 array the caller owns, computed in place in ``z``."""
     if not np.isfinite(z).all():
         raise NonFiniteError("logits must be finite")
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def predict_proba(model: LinearSoftmaxModel, x: np.ndarray) -> np.ndarray:
@@ -152,10 +164,11 @@ def _forward(model: LinearSoftmaxModel, raw: np.ndarray) -> tuple[np.ndarray, np
     """(features, probabilities) of a checked raw batch: the one forward pass.
 
     The caller checks the batch's shape and finiteness; non-finite logits
-    (diverged parameters) still raise NonFiniteError in ``softmax_batch``.
+    (diverged parameters) still raise NonFiniteError. The logits are a fresh
+    product, so they are normalised in place and become the probabilities.
     """
     phi = model.transform(raw)
-    return phi, softmax_batch(phi @ model.weights.T)
+    return phi, _softmax_rows(phi @ model.weights.T)
 
 
 def _label_ce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -172,10 +185,20 @@ def entropy(p: np.ndarray) -> float:
 
 
 def entropy_batch(p: np.ndarray) -> np.ndarray:
-    q = np.asarray(p, dtype=np.float64)
-    # q * log(max(q, floor)) is exactly 0 at q = 0, matching the convention
-    h = -(q * np.log(np.maximum(q, PROB_FLOOR))).sum(axis=1)
-    return np.clip(h, 0.0, float(np.log(q.shape[1])))
+    return _log_entropies(np.asarray(p, dtype=np.float64))[1]
+
+
+def _log_entropies(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln max(p, PROB_FLOOR), -sum p ln p per row clamped to [0, ln C]) of float64 rows.
+
+    The one ln p an SGD batch takes: the entropy is computed from it here,
+    and ``logit_gradient`` reuses both.
+    """
+    log_p = np.maximum(p, PROB_FLOOR)
+    np.log(log_p, out=log_p)
+    # p * log_p is exactly 0 at p = 0, matching the convention 0 ln 0 = 0
+    h = -(p * log_p).sum(axis=1)
+    return log_p, np.clip(h, 0.0, float(np.log(p.shape[1])))
 
 
 def empirical_mean_entropy(model: LinearSoftmaxModel, dataset: LabeledDataset) -> float:
@@ -239,28 +262,39 @@ def _logit_entropies(
     factors = spectral_factor(pushed.covariances)[:, :, -rank:]
     counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
     h = np.empty(count, dtype=np.float64)
+    # flat buffers shared by every block: a block of m columns views the first
+    # rows * m entries, so each view is C-contiguous, as ``standard_normal``
+    # needs of its ``out``
+    classes = v.shape[0]
+    width = min(_BLOCK, int(counts.max()))
+    normals = np.empty(rank * width)
+    logits, exps = np.empty(classes * width), np.empty(classes * width)
     start = 0
     for mean, factor, total in zip(pushed.means, factors, counts):
         for offset in range(0, total, _BLOCK):
             size = min(_BLOCK, total - offset)
-            logits = factor @ rng.standard_normal((rank, size))
-            logits += mean[:, None]
-            h[start : start + size] = _column_entropies(logits)
+            z = rng.standard_normal(out=normals[: rank * size].reshape(rank, size))
+            block = np.matmul(factor, z, out=logits[: classes * size].reshape(classes, size))
+            block += mean[:, None]
+            e = exps[: classes * size].reshape(classes, size)
+            h[start : start + size] = _column_entropies(block, e)
             start += size
     return h
 
 
-def _column_entropies(logits: np.ndarray) -> np.ndarray:
+def _column_entropies(logits: np.ndarray, e: np.ndarray) -> np.ndarray:
     """H(softmax(z)) = logsumexp(z) - sum p * z for each column z of a (C, m) block.
 
-    Works in place on ``logits``. Reductions run over axis 0, which numpy
+    Works in place on ``logits`` and uses ``e``, an array of the same shape,
+    for exp(z) and then exp(z) * z. Reductions run over axis 0, which numpy
     vectorizes across the columns; over short rows they would cost more than
     the exp.
     """
     logits -= logits.max(axis=0)
-    e = np.exp(logits)
+    np.exp(logits, out=e)
     total = e.sum(axis=0)
-    h = np.log(total) - (e * logits).sum(axis=0) / total
+    e *= logits
+    h = np.log(total) - e.sum(axis=0) / total
     return np.clip(h, 0.0, float(np.log(logits.shape[0])))
 
 
@@ -316,14 +350,24 @@ def smoothed_targets(labels: np.ndarray, class_count: int, epsilon: float) -> np
     return (1.0 - epsilon) * onehot + epsilon / class_count
 
 
-def logit_gradient(p: np.ndarray, labels: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-sample gradient of the objective with respect to the logits."""
+def logit_gradient(
+    p: np.ndarray,
+    labels: np.ndarray,
+    gamma: float,
+    *,
+    terms: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Per-sample gradient of the objective with respect to the logits.
+
+    g = (p - y) + (gamma p)(ln p + H). ``terms`` is ``_log_entropies(p)``
+    when the caller already holds it, as the SGD step does, so the batch's
+    ln p is taken once; it is read, not modified.
+    """
     g = p.copy()
     g[np.arange(labels.shape[0]), labels] -= 1.0
     if gamma != 0.0:
-        log_p = np.log(np.maximum(p, PROB_FLOOR))
-        h = entropy_batch(p)
-        g = g + gamma * p * (log_p + h[:, None])
+        log_p, h = _log_entropies(p) if terms is None else terms
+        g += gamma * p * (log_p + h[:, None])
     return g
 
 

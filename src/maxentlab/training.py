@@ -19,6 +19,10 @@ pipelines call once on the trained model.
 Forward passes run through ``core._forward`` and parameter gradients through
 ``core._param_grads``, the kernel behind the public loss and gradient API,
 so a full-batch step moves the parameters by exactly ``maxent_gradient``.
+Each batch takes one ln p, through ``core._log_entropies``, for its
+entropy, and ``core.logit_gradient`` reuses it; label-smoothing arms build
+only their own gradient. The validation set is checked once, before record
+0; the per-epoch records pass it straight to ``core._forward``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from ._streams import INIT, NOISE, SHUFFLE, derive_rng
 from .core import (
     LinearSoftmaxModel,
     _check_labels,
+    _checked_batch,
     _forward,
     _label_ce,
+    _log_entropies,
     _param_grads,
     entropy_batch,
     logit_gradient,
@@ -239,7 +245,7 @@ def train(
     def record(epoch: int, train_ce: float, train_h: float, lr: float) -> EpochRecord:
         vce = vacc = None
         if has_val:
-            p = predict_proba_batch(model, val_set.features)
+            p = _forward(model, val_x)[1]
             vce = float(_label_ce(p, val_set.labels).mean())
             vacc = float((p.argmax(axis=1) == val_set.labels).mean())
         return EpochRecord(epoch, train_ce, train_h, vce, vacc, model.w_l2(), model.w_inf(), lr)
@@ -250,10 +256,11 @@ def train(
             f"non-finite {what} at epoch {epoch}, batch {batch}{detail}", epoch=epoch, batch=batch
         )
 
-    # record 0 passes both sets through predict_proba_batch, which checks their
-    # shape and finiteness once, so the SGD steps below skip that check
+    # both sets are checked for shape and finiteness once, here, so the SGD
+    # steps and the per-epoch records below skip that check
     p0 = predict_proba_batch(model, train_set.features)
     ce0, h0 = _label_ce(p0, train_set.labels), entropy_batch(p0)
+    val_x = _checked_batch(model, val_set.features) if has_val else None
     records = [record(0, float(ce0.mean()), float(h0.mean()), config.lr.value(0, config.epochs))]
 
     n = train_set.size
@@ -271,7 +278,8 @@ def train(
             except NonFiniteError as err:
                 raise diverged("parameters", epoch + 1, batch_idx, err) from err
             ce = _label_ce(p, y)
-            h = entropy_batch(p)
+            terms = _log_entropies(p)
+            h = terms[1]
             batch_loss = float(ce.mean()) - gamma * float(h.mean())
             if not np.isfinite(batch_loss):
                 raise diverged("loss", epoch + 1, batch_idx)
@@ -280,7 +288,7 @@ def train(
             if use_lsr:
                 g = p - smoothed_targets(y, model.class_count, config.lsr_epsilon)
             else:
-                g = logit_gradient(p, y, gamma)
+                g = logit_gradient(p, y, gamma, terms=terms)
             grad_w, grad_a = _param_grads(model, x_raw, phi, g, train_a)
             if train_a:
                 model.feature_map -= lr * (grad_a + decay * model.feature_map)

@@ -7,23 +7,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maxentlab._streams import ENTROPY_MC, derive_rng
 from maxentlab.core import (
+    _BLOCK,
+    PROB_FLOOR,
     LinearSoftmaxModel,
+    _log_entropies,
+    _logit_entropies,
     empirical_mean_entropy,
     entropy,
     entropy_batch,
     expected_entropy_mc,
     label_smoothing_loss,
+    logit_gradient,
     maxent_gradient,
     maxent_loss,
     predict_proba,
     predict_proba_batch,
     softmax,
+    softmax_batch,
 )
 from maxentlab.datasets import LabeledDataset
 from maxentlab.errors import DomainError, NonFiniteError, ShapeError
 from maxentlab.fixtures import make_regime_fixtures
-from maxentlab.mixtures import GaussianMixture, sample
+from maxentlab.mixtures import GaussianMixture, _pushforward, sample, spectral_factor
 
 from conftest import random_mixture
 
@@ -34,6 +41,57 @@ def uniform_model(C=4, n=3):
 
 def std_normal_mixture(n=3):
     return GaussianMixture(np.array([1.0]), np.zeros((1, n)), np.eye(n)[None])
+
+
+# Reference copies of the kernels, written with a fresh array for every
+# intermediate; the library versions must give the same bits.
+
+
+def reference_softmax_batch(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_entropy_batch(p):
+    h = -(p * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=1)
+    return np.clip(h, 0.0, float(np.log(p.shape[1])))
+
+
+def reference_logit_gradient(p, labels, gamma):
+    g = p.copy()
+    g[np.arange(labels.shape[0]), labels] -= 1.0
+    if gamma != 0.0:
+        log_p = np.log(np.maximum(p, PROB_FLOOR))
+        h = reference_entropy_batch(p)
+        g = g + gamma * p * (log_p + h[:, None])
+    return g
+
+
+def reference_logit_entropies(model, mixture, count, rng):
+    v = model.weights if model.feature_map is None else model.weights @ model.feature_map
+    pushed = _pushforward(mixture, v)
+    rank = min(v.shape)
+    factors = spectral_factor(pushed.covariances)[:, :, -rank:]
+    counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
+    h = np.empty(count, dtype=np.float64)
+    start = 0
+    for mean, factor, total in zip(pushed.means, factors, counts):
+        for offset in range(0, total, _BLOCK):
+            size = min(_BLOCK, total - offset)
+            logits = factor @ rng.standard_normal((rank, size))
+            logits += mean[:, None]
+            logits -= logits.max(axis=0)
+            e = np.exp(logits)
+            norm = e.sum(axis=0)
+            block = np.log(norm) - (e * logits).sum(axis=0) / norm
+            h[start : start + size] = np.clip(block, 0.0, float(np.log(logits.shape[0])))
+            start += size
+    return h
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSoftmax:
@@ -74,6 +132,40 @@ class TestSoftmax:
     def test_input_shape(self):
         with pytest.raises(ShapeError):
             predict_proba(uniform_model(), np.zeros(5))
+
+    def test_batch_rejects_nonfinite(self):
+        with pytest.raises(NonFiniteError, match="logits must be finite"):
+            softmax_batch(np.array([[0.0, 1.0], [-np.inf, 0.0]]))
+
+
+class TestStepTerms:
+    @given(
+        rows=st.integers(1, 40),
+        C=st.integers(2, 12),
+        # at scale 800 most probabilities underflow to exactly 0
+        scale=st.sampled_from([0.0, 1.0, 30.0, 800.0]),
+        gamma=st.just(0.0) | st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32),
+    )
+    @example(rows=8, C=10, scale=800.0, gamma=1.0, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_shared_log_p_gives_the_separate_formulas(self, rows, C, scale, gamma, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(scale=scale, size=(rows, C))
+        labels = rng.integers(0, C, rows)
+        z_before = z.copy()
+        p = softmax_batch(z)
+        assert same_bits(z, z_before)
+        assert same_bits(p, reference_softmax_batch(z))
+        log_p, h = terms = _log_entropies(p)
+        assert same_bits(log_p, np.log(np.maximum(p, PROB_FLOOR)))
+        assert same_bits(h, reference_entropy_batch(p))
+        assert same_bits(entropy_batch(p), h)
+        log_p_before, h_before = log_p.copy(), h.copy()
+        g = logit_gradient(p, labels, gamma, terms=terms)
+        assert same_bits(log_p, log_p_before) and same_bits(h, h_before)
+        assert same_bits(g, reference_logit_gradient(p, labels, gamma))
+        assert same_bits(logit_gradient(p, labels, gamma), g)
 
 
 class TestEntropy:
@@ -152,15 +244,35 @@ class TestExpectedEntropyMc:
         m=st.integers(1, 4),
         draws=st.integers(100, 40_000),
         seed=st.integers(0, 2**32),
+        n_raw=st.none() | st.integers(1, 6),
+        tiny=st.booleans(),
     )
-    @example(C=3, n=5, m=2, draws=100, seed=0)  # C <= n
-    @example(C=10, n=2, m=1, draws=33_000, seed=1)  # C > n, draws span several blocks
+    @example(C=3, n=5, m=2, draws=100, seed=0, n_raw=None, tiny=False)  # C <= n
+    # C > n, so rank < C, and draws span several blocks
+    @example(C=10, n=2, m=1, draws=33_000, seed=1, n_raw=None, tiny=False)
+    @example(C=10, n=2, m=2, draws=40_000, seed=2, n_raw=None, tiny=False)
+    # a component of weight 1e-12 draws nothing
+    @example(C=4, n=3, m=3, draws=5_000, seed=3, n_raw=None, tiny=True)
+    @example(C=10, n=6, m=2, draws=20_000, seed=4, n_raw=5, tiny=False)  # feature map
     @settings(max_examples=25, deadline=None)
-    def test_zero_weights_give_log_c_exactly(self, C, n, m, draws, seed):
-        mix = random_mixture(np.random.default_rng(seed), n, m)
-        est, se = expected_entropy_mc(uniform_model(C, n), mix, draws, seed=seed)
+    def test_zero_weights_give_log_c_exactly(self, C, n, m, draws, seed, n_raw, tiny):
+        rng = np.random.default_rng(seed)
+        mix = random_mixture(rng, n if n_raw is None else n_raw, m)
+        if tiny and m > 1:
+            weights = mix.weights.copy()
+            weights[0] = 1e-12
+            weights[1:] *= (1.0 - 1e-12) / weights[1:].sum()
+            mix = GaussianMixture(weights, mix.means, mix.covariances)
+        fm = None if n_raw is None else rng.normal(size=(n, n_raw))
+        est, se = expected_entropy_mc(LinearSoftmaxModel(np.zeros((C, n)), fm), mix, draws, seed=seed)
         assert est == math.log(C)
         assert se == 0.0
+        # on random weights of the same shapes, the buffered kernel equals the
+        # fresh-array block loop bit for bit
+        model = LinearSoftmaxModel(rng.normal(size=(C, n)), fm)
+        h = _logit_entropies(model, mix, draws, derive_rng(seed, ENTROPY_MC))
+        ref = reference_logit_entropies(model, mix, draws, derive_rng(seed, ENTROPY_MC))
+        assert same_bits(h, ref)
 
     @pytest.mark.parametrize("case", ["fine_fixture", "classes_exceed_dim", "feature_map"])
     def test_agrees_with_feature_space_reference(self, case):

@@ -8,7 +8,13 @@ import pytest
 from maxentlab._streams import SHUFFLE, derive_rng
 from maxentlab.core import LinearSoftmaxModel, maxent_gradient
 from maxentlab.datasets import LabeledDataset
-from maxentlab.errors import DivergenceError, DomainError, ShapeError, ValidationError
+from maxentlab.errors import (
+    DivergenceError,
+    DomainError,
+    NonFiniteError,
+    ShapeError,
+    ValidationError,
+)
 from maxentlab.mixtures import GaussianMixture, sample
 from maxentlab.training import (
     LrSchedule,
@@ -240,6 +246,13 @@ class TestTrain:
         val = blobs(count=10, seed=2)
         val.labels[3] = 2
         with pytest.raises(ShapeError):
+            train(init_model(2, 2, 2, 0.0, seed=1), blobs(), val, quick_cfg(epochs=1))
+
+    def test_non_finite_validation_set_is_rejected_before_training(self):
+        # the validation set is checked once, up front, not at every record
+        val = blobs(count=10, seed=2)
+        val.features[3, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="batch contains non-finite values"):
             train(init_model(2, 2, 2, 0.0, seed=1), blobs(), val, quick_cfg(epochs=1))
 
     def test_final_record_equals_evaluate(self):
