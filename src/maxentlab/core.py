@@ -29,6 +29,11 @@ thread count. The forward pass normalises its freshly computed logits in
 place (shift, exp and divide in one array), and the Monte-Carlo kernel
 reuses one set of block buffers per call; both keep every float operation
 and its order, so results are the same bits as with fresh temporaries.
+The Monte-Carlo kernel also writes each block's logit product in column
+slices small enough that OpenBLAS runs each on the calling thread, instead
+of waking a second BLAS thread that mostly busy-waits; every logit column
+is still the same dot product, so the bits do not move either (shapes for
+which OpenBLAS would round a split differently stay whole).
 """
 
 from __future__ import annotations
@@ -253,6 +258,14 @@ def _logit_entropies(
     spectral factor of V Sigma_c V' (whose rank is at most k) and shifted by
     V mu_c gives m logit columns, reduced to entropies at once. Entropies come
     back grouped by component, which leaves their mean and spread unchanged.
+
+    Each block's product is written in column slices (``_block_product``):
+    one (10 x 10) @ (10 x 16,384) product is large enough for OpenBLAS to
+    split over two threads, the second of which mostly spins, while seven
+    slices of about 2,340 columns each stay on the calling thread. The
+    normals are drawn as before, whole blocks of the same stream, and a
+    column's logits are the same rank-term dot product in any slice, so the
+    entropies are the same bits as with one product per block.
     """
     v = model.weights if model.feature_map is None else model.weights @ model.feature_map
     if v.shape[1] != mixture.dim:
@@ -274,12 +287,48 @@ def _logit_entropies(
         for offset in range(0, total, _BLOCK):
             size = min(_BLOCK, total - offset)
             z = rng.standard_normal(out=normals[: rank * size].reshape(rank, size))
-            block = np.matmul(factor, z, out=logits[: classes * size].reshape(classes, size))
+            block = _block_product(factor, z, logits[: classes * size].reshape(classes, size))
             block += mean[:, None]
             e = exps[: classes * size].reshape(classes, size)
             h[start : start + size] = _column_entropies(block, e)
             start += size
     return h
+
+
+# Most multiply-adds (classes x rank x columns) in one product that OpenBLAS
+# keeps on the calling thread: 65,536 x its GEMM_MULTITHREAD_THRESHOLD of 4.
+# A larger product wakes a second BLAS thread, which mostly busy-waits.
+_GEMM_ONE_THREAD = 2**18
+
+# Largest logit products that are sliced: up to 32 classes and rank 15, every
+# column of a slice has the bits of the same column of the whole product
+# (OpenBLAS 0.3.31 on AVX-512 x86-64, checked in tests/test_core.py). Beyond
+# either, OpenBLAS rounds a column differently depending on the product's
+# size, so a split would move bits and the product stays whole.
+_SLICE_MAX_CLASSES = 32
+_SLICE_MAX_RANK = 15
+
+
+def _block_product(factor: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``factor @ z`` written into ``out`` in column slices that each run on one BLAS thread.
+
+    A slice of m columns takes classes x rank x m multiply-adds, at most
+    ``_GEMM_ONE_THREAD``. The columns are split evenly into the fewest such
+    slices, so each is wider than half the widest allowed: a 1-column slice
+    would go through gemv, which rounds differently. Each column is then the
+    same rank-term dot product whatever slice holds it, and the result equals
+    one whole ``np.matmul`` bit for bit. Shapes beyond the ``_SLICE_MAX_*``
+    limits are multiplied whole.
+    """
+    classes, rank = factor.shape
+    width = z.shape[1]
+    count = 1
+    if classes <= _SLICE_MAX_CLASSES and rank <= _SLICE_MAX_RANK:
+        count = -(-width // (_GEMM_ONE_THREAD // (classes * rank)))
+    edges = [width * i // count for i in range(count + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(factor, z[:, lo:hi], out=out[:, lo:hi])
+    return out
 
 
 def _column_entropies(logits: np.ndarray, e: np.ndarray) -> np.ndarray:

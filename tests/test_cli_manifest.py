@@ -199,6 +199,8 @@ class TestCliCommands:
             (["bounds", "verify"], "[bounds]\nkinds =\n"),
             (["train"], "[train]\nlr = step:0.1:0.5:0\n"),
             (["train"], "[experiment]\nseeds = 1\nseeds = 2\n"),
+            (["train", "--threads", "0"], "[train]\nepochs = 1\n"),
+            (["train", "--threads", "-4"], "[train]\nepochs = 1\n"),
         ],
     )
     def test_unrunnable_config_is_an_error(self, tmp_path, capsys, argv, body):

@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 from maxentlab._streams import ENTROPY_MC, derive_rng
 from maxentlab.core import (
     _BLOCK,
+    _GEMM_ONE_THREAD,
+    _SLICE_MAX_CLASSES,
+    _SLICE_MAX_RANK,
     PROB_FLOOR,
     LinearSoftmaxModel,
+    _block_product,
     _log_entropies,
     _logit_entropies,
     empirical_mean_entropy,
@@ -254,6 +258,13 @@ class TestExpectedEntropyMc:
     # a component of weight 1e-12 draws nothing
     @example(C=4, n=3, m=3, draws=5_000, seed=3, n_raw=None, tiny=True)
     @example(C=10, n=6, m=2, draws=20_000, seed=4, n_raw=5, tiny=False)  # feature map
+    # the fine regime's shape (rank 10, so a slice holds up to 2,621 columns):
+    # several components; one component of one and of two slice widths plus one
+    # column; one component whose last block holds a single column
+    @example(C=10, n=16, m=3, draws=30_000, seed=5, n_raw=None, tiny=False)
+    @example(C=10, n=16, m=1, draws=2_622, seed=6, n_raw=None, tiny=False)
+    @example(C=10, n=16, m=1, draws=5_243, seed=7, n_raw=None, tiny=False)
+    @example(C=10, n=16, m=1, draws=_BLOCK + 1, seed=8, n_raw=None, tiny=False)
     @settings(max_examples=25, deadline=None)
     def test_zero_weights_give_log_c_exactly(self, C, n, m, draws, seed, n_raw, tiny):
         rng = np.random.default_rng(seed)
@@ -297,6 +308,58 @@ class TestExpectedEntropyMc:
         ref_se = float(h.std(ddof=1)) / math.sqrt(data.size)
         assert se > 0.0 and ref_se > 0.0
         assert abs(est - ref) <= 4.0 * math.hypot(se, ref_se)
+
+
+class TestBlockProduct:
+    @given(
+        classes=st.integers(2, 48),
+        rank=st.integers(1, 20),
+        width=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32),
+    )
+    # the fine regime's shape: a whole 16,384-column block, one and two slice
+    # widths plus one column, a single column, and 4,097 columns (split as
+    # 2,048 + 2,048 + 1, gemv would take the last column)
+    @example(classes=10, rank=10, width=_BLOCK, seed=0)
+    @example(classes=10, rank=10, width=2_622, seed=1)
+    @example(classes=10, rank=10, width=5_243, seed=2)
+    @example(classes=10, rank=10, width=1, seed=3)
+    @example(classes=10, rank=10, width=4_097, seed=7)
+    # the largest sliced shape, in two slices of 274 and 273 columns
+    @example(classes=_SLICE_MAX_CLASSES, rank=_SLICE_MAX_RANK, width=547, seed=4)
+    # one class or one rank too many: left whole
+    @example(classes=_SLICE_MAX_CLASSES + 1, rank=10, width=_BLOCK, seed=5)
+    @example(classes=20, rank=_SLICE_MAX_RANK + 1, width=_BLOCK, seed=6)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_matmul(self, classes, rank, width, seed):
+        rank = min(rank, classes)  # rank = min(C, n) in the kernel
+        rng = np.random.default_rng(seed)
+        factor = rng.normal(size=(classes, rank))
+        z = rng.standard_normal((rank, width))
+        out = np.empty((classes, width))
+        assert _block_product(factor, z, out) is out
+        assert same_bits(out, np.matmul(factor, z))
+
+    @pytest.mark.parametrize(
+        "classes, rank, width", [(10, 10, _BLOCK), (10, 10, 2_622), (3, 2, 50)]
+    )
+    def test_slices_are_even_and_fit_one_blas_thread(self, monkeypatch, classes, rank, width):
+        widths = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, out):
+            widths.append(b.shape[1])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        out = np.empty((classes, width))
+        _block_product(np.ones((classes, rank)), np.ones((rank, width)), out)
+        assert sum(widths) == width
+        assert max(widths) - min(widths) <= 1
+        assert classes * rank * max(widths) <= _GEMM_ONE_THREAD
+        # the fewest slices that fit: one fewer would need a wider one
+        if len(widths) > 1:
+            assert classes * rank * -(-width // (len(widths) - 1)) > _GEMM_ONE_THREAD
 
 
 class TestLosses:

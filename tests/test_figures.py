@@ -156,10 +156,24 @@ def test_threaded_pipeline_matches_serial(small_cfg, tmp_path, kind):
     _assert_threads_do_not_change_artifacts(cfg, kind, tmp_path)
 
 
-def test_threaded_bounds_verify_matches_serial(tmp_path):
-    cfg = parse_config(SMALL_BOUNDS.replace("sample_counts = 100", "sample_counts = 50,200"))
+def _assert_threads_do_not_change_bounds(cfg, tmp_path):
     digests = [
         load_manifest(run_bounds_verify(cfg, tmp_path / f"threads{t}", [1], threads=t)).digest()
         for t in (1, 2)
     ]
     assert digests[0] == digests[1]
+
+
+def test_threaded_bounds_verify_matches_serial(tmp_path):
+    cfg = parse_config(SMALL_BOUNDS.replace("sample_counts = 100", "sample_counts = 50,200"))
+    _assert_threads_do_not_change_bounds(cfg, tmp_path)
+
+
+def test_threaded_bounds_verify_matches_serial_on_sliced_products(tmp_path):
+    # about 3,000 draws per mixture component, more than the 2,621 columns one
+    # logit slice holds at C = 10, rank 10, so every product runs in two slices
+    cfg = parse_config(
+        SMALL_BOUNDS.replace("entropy_draws = 500", "entropy_draws = 30000")
+        .replace("trials = 100", "kinds = weight_norm\ntrials = 100")
+    )
+    _assert_threads_do_not_change_bounds(cfg, tmp_path)
