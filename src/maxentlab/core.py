@@ -25,15 +25,18 @@ reuses both; the cross-entropy logs only the label probabilities.
 
 Models are immutable during evaluation; every function here is pure, and
 reductions use numpy's fixed pairwise summation so results do not depend on
-thread count. The forward pass normalises its freshly computed logits in
-place (shift, exp and divide in one array), and the Monte-Carlo kernel
-reuses one set of block buffers per call; both keep every float operation
-and its order, so results are the same bits as with fresh temporaries.
-The Monte-Carlo kernel also writes each block's logit product in column
-slices small enough that OpenBLAS runs each on the calling thread, instead
-of waking a second BLAS thread that mostly busy-waits; every logit column
-is still the same dot product, so the bits do not move either (shapes for
-which OpenBLAS would round a split differently stay whole).
+thread count. The forward pass normalises its logits in place (shift, exp
+and divide in one array, which a trainer may reuse across epochs), and the
+Monte-Carlo kernel reuses one set of block buffers per call; both keep every
+float operation and its order, so results are the same bits as with fresh
+temporaries. Every product of inputs with a weight matrix (features, logits
+and Monte-Carlo logit blocks) goes through one kernel, ``_linear``, which
+writes it in row or column slices small enough that OpenBLAS runs each on
+the calling thread, instead of waking a second BLAS thread that mostly
+busy-waits. Every output is still the same dot product, so the bits do not
+move either (shapes for which OpenBLAS would round a split differently stay
+whole). Threads are therefore the callers' to spend, for instance on
+parallel training arms or bound trials.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ class LinearSoftmaxModel:
         """Apply the feature map to a batch of raw rows."""
         if self.feature_map is None:
             return raw
-        return raw @ self.feature_map.T
+        return _linear(raw, self.feature_map)
 
     def copy(self) -> "LinearSoftmaxModel":
         fm = None if self.feature_map is None else self.feature_map.copy()
@@ -165,15 +168,18 @@ def _checked_batch(model: LinearSoftmaxModel, raw: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(model: LinearSoftmaxModel, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _forward(
+    model: LinearSoftmaxModel, raw: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(features, probabilities) of a checked raw batch: the one forward pass.
 
     The caller checks the batch's shape and finiteness; non-finite logits
-    (diverged parameters) still raise NonFiniteError. The logits are a fresh
-    product, so they are normalised in place and become the probabilities.
+    (diverged parameters) still raise NonFiniteError. The logits are written
+    into ``out``, an (N, C) array the caller owns (a fresh one when None), and
+    normalised there in place, so ``out`` becomes the probabilities.
     """
     phi = model.transform(raw)
-    return phi, _softmax_rows(phi @ model.weights.T)
+    return phi, _softmax_rows(_linear(phi, model.weights, out))
 
 
 def _label_ce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -259,13 +265,13 @@ def _logit_entropies(
     V mu_c gives m logit columns, reduced to entropies at once. Entropies come
     back grouped by component, which leaves their mean and spread unchanged.
 
-    Each block's product is written in column slices (``_block_product``):
-    one (10 x 10) @ (10 x 16,384) product is large enough for OpenBLAS to
-    split over two threads, the second of which mostly spins, while seven
-    slices of about 2,340 columns each stay on the calling thread. The
-    normals are drawn as before, whole blocks of the same stream, and a
-    column's logits are the same rank-term dot product in any slice, so the
-    entropies are the same bits as with one product per block.
+    Each block's product is written in column slices (``_linear``): one
+    (10 x 10) @ (10 x 16,384) product is large enough for OpenBLAS to split
+    over two threads, the second of which mostly spins, while seven slices of
+    about 2,340 columns each stay on the calling thread. The normals are drawn
+    as whole blocks of the stream, and a column's logits are the same
+    rank-term dot product in any slice, so the entropies are the same bits as
+    with one product per block.
     """
     v = model.weights if model.feature_map is None else model.weights @ model.feature_map
     if v.shape[1] != mixture.dim:
@@ -287,7 +293,7 @@ def _logit_entropies(
         for offset in range(0, total, _BLOCK):
             size = min(_BLOCK, total - offset)
             z = rng.standard_normal(out=normals[: rank * size].reshape(rank, size))
-            block = _block_product(factor, z, logits[: classes * size].reshape(classes, size))
+            block = _linear(z, factor, logits[: classes * size].reshape(classes, size), columns=True)
             block += mean[:, None]
             e = exps[: classes * size].reshape(classes, size)
             h[start : start + size] = _column_entropies(block, e)
@@ -295,39 +301,53 @@ def _logit_entropies(
     return h
 
 
-# Most multiply-adds (classes x rank x columns) in one product that OpenBLAS
-# keeps on the calling thread: 65,536 x its GEMM_MULTITHREAD_THRESHOLD of 4.
-# A larger product wakes a second BLAS thread, which mostly busy-waits.
+# Most multiply-adds (inputs x outputs x inner dimension) in one product that
+# OpenBLAS keeps on the calling thread: 65,536 x its GEMM_MULTITHREAD_THRESHOLD
+# of 4. A larger product wakes a second BLAS thread, which mostly busy-waits.
 _GEMM_ONE_THREAD = 2**18
 
-# Largest logit products that are sliced: up to 32 classes and rank 15, every
-# column of a slice has the bits of the same column of the whole product
-# (OpenBLAS 0.3.31 on AVX-512 x86-64, checked in tests/test_core.py). Beyond
-# either, OpenBLAS rounds a column differently depending on the product's
-# size, so a split would move bits and the product stays whole.
-_SLICE_MAX_CLASSES = 32
-_SLICE_MAX_RANK = 15
+# Largest (outputs, inner dimension) of a product that ``_linear`` slices, per
+# orientation. Within them every output of a slice has the bits of the same
+# output of one whole product (OpenBLAS 0.3.31 on AVX-512 x86-64, checked in
+# tests/test_core.py). Beyond them OpenBLAS rounds an output differently
+# depending on the product's size (rows: from 38 inner terms at 155 outputs,
+# or 132 at 20), so a split would move bits and the product stays whole.
+_ROW_SLICE_MAX = (64, 64)
+_COLUMN_SLICE_MAX = (32, 15)
 
 
-def _block_product(factor: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``factor @ z`` written into ``out`` in column slices that each run on one BLAS thread.
+def _linear(
+    x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None, *, columns: bool = False
+) -> np.ndarray:
+    """The (outputs, K) matrix ``w`` applied to every input of ``x``, in one-BLAS-thread slices.
 
-    A slice of m columns takes classes x rank x m multiply-adds, at most
-    ``_GEMM_ONE_THREAD``. The columns are split evenly into the fewest such
-    slices, so each is wider than half the widest allowed: a 1-column slice
-    would go through gemv, which rounds differently. Each column is then the
-    same rank-term dot product whatever slice holds it, and the result equals
-    one whole ``np.matmul`` bit for bit. Shapes beyond the ``_SLICE_MAX_*``
-    limits are multiplied whole.
+    ``x`` holds one input per row, (m, K), for ``x @ w.T`` of shape (m, outputs):
+    the features and logits of a forward pass. With ``columns`` it holds one
+    input per column, (K, m), for ``w @ x`` of shape (outputs, m): the logits
+    of a Monte-Carlo block. The product is written into ``out`` (a fresh array
+    when None) in the fewest even slices of the m inputs whose outputs x K x
+    width multiply-adds each fit ``_GEMM_ONE_THREAD``, so a product that fits
+    is one call and every slice is wider than half the widest allowed (a
+    one-input slice would go through gemv, which rounds differently). Each
+    output is then the same K-term dot product whatever slice holds it, and the
+    result equals one whole ``np.matmul`` bit for bit. Shapes beyond the
+    ``_ROW_SLICE_MAX`` or ``_COLUMN_SLICE_MAX`` limits, and one-output products
+    (gemv again), are multiplied whole.
     """
-    classes, rank = factor.shape
-    width = z.shape[1]
+    outputs, inner = w.shape
+    width = x.shape[1] if columns else x.shape[0]
+    if out is None:
+        out = np.empty((outputs, width) if columns else (width, outputs))
+    max_outputs, max_inner = _COLUMN_SLICE_MAX if columns else _ROW_SLICE_MAX
     count = 1
-    if classes <= _SLICE_MAX_CLASSES and rank <= _SLICE_MAX_RANK:
-        count = -(-width // (_GEMM_ONE_THREAD // (classes * rank)))
+    if 2 <= outputs <= max_outputs and inner <= max_inner:
+        count = -(-width // (_GEMM_ONE_THREAD // (outputs * inner)))
     edges = [width * i // count for i in range(count + 1)]
     for lo, hi in zip(edges, edges[1:]):
-        np.matmul(factor, z[:, lo:hi], out=out[:, lo:hi])
+        if columns:
+            np.matmul(w, x[:, lo:hi], out=out[:, lo:hi])
+        else:
+            np.matmul(x[lo:hi], w.T, out=out[lo:hi])
     return out
 
 

@@ -161,7 +161,7 @@ def run_arm(
     report = evaluate(trained, va)
     spectrum = tail = None
     if trained.feature_map is not None:
-        spectrum = empirical_diversity(va.features @ trained.feature_map.T)
+        spectrum = empirical_diversity(trained.transform(va.features))
         tail = spectrum_tail_mass(spectrum, max(1, mixture.dim // 4))
     return ArmResult(
         regime=cfg.regime,

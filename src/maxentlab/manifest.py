@@ -156,6 +156,13 @@ def load_manifest(path: Path, verify: bool = True) -> RunManifest:
         )
     except (KeyError, TypeError) as err:
         raise ManifestError(f"{path}: missing field {err}") from err
+    for art in manifest.artifacts:
+        if not (
+            isinstance(art, dict)
+            and isinstance(art.get("path"), str)
+            and isinstance(art.get("sha256"), str)
+        ):
+            raise ManifestError(f"{path}: artifact entry needs a path and a sha256: {art!r}")
     if verify:
         base = path.parent
         for art in manifest.artifacts:

@@ -12,9 +12,10 @@ from a stream derived from (seed, epoch), so a run is a pure function of
 size-weighted mean of the per-batch values seen during that epoch (the last
 short batch counts at its true size). Validation telemetry is what a record
 stores, validation CE and accuracy, taken from one forward pass over the
-full validation set at the end of each epoch; the full ``EvalReport``
-(entropy and top-probability statistics) comes from ``evaluate``, which the
-pipelines call once on the trained model.
+full validation set at the end of each epoch; every record of a run writes
+and normalises its validation logits in the same buffer. The full
+``EvalReport`` (entropy and top-probability statistics) comes from
+``evaluate``, which the pipelines call once on the trained model.
 
 Forward passes run through ``core._forward`` and parameter gradients through
 ``core._param_grads``, the kernel behind the public loss and gradient API,
@@ -245,7 +246,7 @@ def train(
     def record(epoch: int, train_ce: float, train_h: float, lr: float) -> EpochRecord:
         vce = vacc = None
         if has_val:
-            p = _forward(model, val_x)[1]
+            p = _forward(model, val_x, val_logits)[1]
             vce = float(_label_ce(p, val_set.labels).mean())
             vacc = float((p.argmax(axis=1) == val_set.labels).mean())
         return EpochRecord(epoch, train_ce, train_h, vce, vacc, model.w_l2(), model.w_inf(), lr)
@@ -261,6 +262,7 @@ def train(
     p0 = predict_proba_batch(model, train_set.features)
     ce0, h0 = _label_ce(p0, train_set.labels), entropy_batch(p0)
     val_x = _checked_batch(model, val_set.features) if has_val else None
+    val_logits = np.empty((val_set.size, model.class_count)) if has_val else None
     records = [record(0, float(ce0.mean()), float(h0.mean()), config.lr.value(0, config.epochs))]
 
     n = train_set.size
@@ -277,14 +279,13 @@ def train(
                 phi, p = _forward(model, x_raw)
             except NonFiniteError as err:
                 raise diverged("parameters", epoch + 1, batch_idx, err) from err
-            ce = _label_ce(p, y)
             terms = _log_entropies(p)
-            h = terms[1]
-            batch_loss = float(ce.mean()) - gamma * float(h.mean())
-            if not np.isfinite(batch_loss):
+            # the batch means are these sums over m, as np.mean takes them
+            batch_ce, batch_h, m = float(_label_ce(p, y).sum()), float(terms[1].sum()), len(rows)
+            if not np.isfinite(batch_ce / m - gamma * (batch_h / m)):
                 raise diverged("loss", epoch + 1, batch_idx)
-            ce_sum += float(ce.sum())
-            h_sum += float(h.sum())
+            ce_sum += batch_ce
+            h_sum += batch_h
             if use_lsr:
                 g = p - smoothed_targets(y, model.class_count, config.lsr_epsilon)
             else:

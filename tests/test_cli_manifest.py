@@ -347,6 +347,20 @@ class TestReport:
         assert main(["report", str(man), "--out", str(tmp_path / "rep")]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry", ['{"path": "a.csv"}', '{"sha256": "00"}', '"a.csv"', '{"path": 1, "sha256": "00"}']
+    )
+    def test_malformed_artifact_entry_is_an_error(self, tmp_path, capsys, entry):
+        man = tmp_path / "manifest.json"
+        man.write_text(
+            '{"tool_version": "0", "command": "train", "config": "", "stages": [], '
+            f'"artifacts": [{entry}]}}'
+        )
+        rep = tmp_path / "rep"
+        assert main(["report", str(man), "--out", str(rep)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not rep.exists()
+
 
 class TestShippedConfigsParse:
     def test_all_shipped_configs_parse(self):

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from maxentlab._streams import ENTROPY_MC, derive_rng
 from maxentlab.core import (
     _BLOCK,
+    _COLUMN_SLICE_MAX,
     _GEMM_ONE_THREAD,
-    _SLICE_MAX_CLASSES,
-    _SLICE_MAX_RANK,
+    _ROW_SLICE_MAX,
     PROB_FLOOR,
     LinearSoftmaxModel,
-    _block_product,
+    _forward,
+    _linear,
     _log_entropies,
     _logit_entropies,
     empirical_mean_entropy,
@@ -96,6 +97,29 @@ def reference_logit_entropies(model, mixture, count, rng):
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def record_matmul_calls(monkeypatch):
+    """Patch np.matmul to record its operands; returns the list of (a, b) calls."""
+    calls = []
+    matmul = np.matmul
+
+    def recording_matmul(a, b, out):
+        calls.append((a, b))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    return calls
+
+
+def assert_even_one_thread_slices(widths, total, per_input):
+    """``widths`` split ``total`` inputs evenly into the fewest slices that fit one BLAS thread."""
+    assert sum(widths) == total
+    assert max(widths) - min(widths) <= 1
+    assert per_input * max(widths) <= _GEMM_ONE_THREAD
+    # the fewest slices that fit: one fewer would need a wider one
+    if len(widths) > 1:
+        assert per_input * -(-total // (len(widths) - 1)) > _GEMM_ONE_THREAD
 
 
 class TestSoftmax:
@@ -326,10 +350,10 @@ class TestBlockProduct:
     @example(classes=10, rank=10, width=1, seed=3)
     @example(classes=10, rank=10, width=4_097, seed=7)
     # the largest sliced shape, in two slices of 274 and 273 columns
-    @example(classes=_SLICE_MAX_CLASSES, rank=_SLICE_MAX_RANK, width=547, seed=4)
+    @example(classes=_COLUMN_SLICE_MAX[0], rank=_COLUMN_SLICE_MAX[1], width=547, seed=4)
     # one class or one rank too many: left whole
-    @example(classes=_SLICE_MAX_CLASSES + 1, rank=10, width=_BLOCK, seed=5)
-    @example(classes=20, rank=_SLICE_MAX_RANK + 1, width=_BLOCK, seed=6)
+    @example(classes=_COLUMN_SLICE_MAX[0] + 1, rank=10, width=_BLOCK, seed=5)
+    @example(classes=20, rank=_COLUMN_SLICE_MAX[1] + 1, width=_BLOCK, seed=6)
     @settings(max_examples=60, deadline=None)
     def test_equals_one_matmul(self, classes, rank, width, seed):
         rank = min(rank, classes)  # rank = min(C, n) in the kernel
@@ -337,29 +361,73 @@ class TestBlockProduct:
         factor = rng.normal(size=(classes, rank))
         z = rng.standard_normal((rank, width))
         out = np.empty((classes, width))
-        assert _block_product(factor, z, out) is out
+        assert _linear(z, factor, out, columns=True) is out
         assert same_bits(out, np.matmul(factor, z))
 
     @pytest.mark.parametrize(
         "classes, rank, width", [(10, 10, _BLOCK), (10, 10, 2_622), (3, 2, 50)]
     )
     def test_slices_are_even_and_fit_one_blas_thread(self, monkeypatch, classes, rank, width):
-        widths = []
-        matmul = np.matmul
+        calls = record_matmul_calls(monkeypatch)
+        _linear(np.ones((rank, width)), np.ones((classes, rank)), columns=True)
+        assert_even_one_thread_slices([b.shape[1] for _, b in calls], width, classes * rank)
 
-        def recording_matmul(a, b, out):
-            widths.append(b.shape[1])
-            return matmul(a, b, out=out)
 
-        monkeypatch.setattr(np, "matmul", recording_matmul)
-        out = np.empty((classes, width))
-        _block_product(np.ones((classes, rank)), np.ones((rank, width)), out)
-        assert sum(widths) == width
-        assert max(widths) - min(widths) <= 1
-        assert classes * rank * max(widths) <= _GEMM_ONE_THREAD
-        # the fewest slices that fit: one fewer would need a wider one
-        if len(widths) > 1:
-            assert classes * rank * -(-width // (len(widths) - 1)) > _GEMM_ONE_THREAD
+class TestRowProduct:
+    @given(
+        outputs=st.integers(1, 80),
+        inner=st.integers(1, 80),
+        rows=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32),
+    )
+    # the validation pass of the fine regime (10 classes, n = 16; a slice holds up
+    # to 1,638 rows): 5,000 rows in four slices of 1,250; one slice width plus one
+    # row, in two slices of 819 and 820, where fixed 1,638-row slices would leave
+    # a single row to gemv; two widths plus one
+    @example(outputs=10, inner=16, rows=5_000, seed=0)
+    @example(outputs=10, inner=16, rows=1_639, seed=1)
+    @example(outputs=10, inner=16, rows=3_277, seed=2)
+    # a 16 x 16 feature map on the 4,000 validation rows of spectrum.cfg
+    @example(outputs=16, inner=16, rows=4_000, seed=3)
+    # the largest sliced shape, in three slices of 43 rows
+    @example(outputs=_ROW_SLICE_MAX[0], inner=_ROW_SLICE_MAX[1], rows=129, seed=4)
+    # one output or one inner term too many, or a single output (gemv): left whole
+    @example(outputs=_ROW_SLICE_MAX[0] + 1, inner=10, rows=20_000, seed=5)
+    @example(outputs=10, inner=_ROW_SLICE_MAX[1] + 1, rows=20_000, seed=6)
+    @example(outputs=1, inner=16, rows=32_769, seed=7)
+    # past the limits, shapes where a split does round differently: left whole
+    @example(outputs=155, inner=38, rows=93, seed=8)
+    @example(outputs=20, inner=132, rows=106, seed=9)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_matmul(self, outputs, inner, rows, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, inner)) * rng.uniform(0.1, 10.0)
+        w = rng.normal(size=(outputs, inner))
+        out = np.empty((rows, outputs))
+        assert _linear(x, w, out) is out
+        assert same_bits(out, np.matmul(x, w.T))
+        assert same_bits(_linear(x, w), out)
+
+    @pytest.mark.parametrize("feature_map", [False, True])
+    def test_forward_pass_slices_are_even_and_fit_one_blas_thread(self, monkeypatch, feature_map):
+        rng = np.random.default_rng(0)
+        fm = rng.normal(size=(16, 16)) if feature_map else None
+        model = LinearSoftmaxModel(rng.normal(size=(10, 16)), fm)
+        x = rng.normal(size=(5_000, 16))
+        # the unsliced forward pass, with fresh arrays
+        phi_ref = x if fm is None else np.matmul(x, fm.T)
+        p_ref = reference_softmax_batch(np.matmul(phi_ref, model.weights.T))
+        calls = record_matmul_calls(monkeypatch)
+        out = np.empty((5_000, 10))
+        phi, p = _forward(model, x, out)
+        assert p is out
+        assert same_bits(phi, phi_ref) and same_bits(p, p_ref)
+        # the feature map's 16 x 16 products first, then the 10 x 16 logits
+        products = [(256, [a.shape[0] for a, b in calls if b.shape[1] == 16])] if feature_map else []
+        products.append((160, [a.shape[0] for a, b in calls if b.shape[1] == 10]))
+        assert sum(len(widths) for _, widths in products) == len(calls)
+        for per_row, widths in products:
+            assert_even_one_thread_slices(widths, 5_000, per_row)
 
 
 class TestLosses:

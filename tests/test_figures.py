@@ -177,3 +177,15 @@ def test_threaded_bounds_verify_matches_serial_on_sliced_products(tmp_path):
         .replace("trials = 100", "kinds = weight_norm\ntrials = 100")
     )
     _assert_threads_do_not_change_bounds(cfg, tmp_path)
+
+
+def test_threaded_spectrum_matches_serial_on_sliced_products(tmp_path):
+    # 2,100 validation rows: more than one slice holds of the 16 x 16 feature map
+    # (1,024 rows) and of the 10 x 16 logits (1,638 rows), so every validation
+    # pass and the feature spectrum run in slices
+    cfg = parse_config(SMALL_SPECTRUM.replace("val_n = 120", "val_n = 2100"))
+    digests = [
+        load_manifest(run_figure(cfg, "spectrum", tmp_path / f"threads{t}", [1], threads=t)).digest()
+        for t in (1, 2)
+    ]
+    assert digests[0] == digests[1]
