@@ -2,14 +2,16 @@
 
 Subcommands: synth, train, figure KIND, bounds verify, report. Output goes
 to --out, else the config's out_dir, else $MAXENTLAB_OUT/<command>.
---threads (at least 1) runs the arms of train and figure in parallel, and
-the trials of each bound in bounds verify; synth ignores it. Every matrix
-product of a batch with a weight matrix runs in slices that OpenBLAS keeps
-on the calling thread, so each of these threads uses one core and no BLAS
-thread waits beside it. On two cores bounds verify gets faster at
---threads 2 (about 5 s down to about 3.3 s on perfbench/configs/bounds_mc.cfg);
-train and figure do not, because their arms spend most of their time in
-small numpy calls that hold the interpreter lock. Every command exits 0 on
+--threads (at least 1) runs the trials of each bound in bounds verify in
+parallel, and the arms of train and figure on that many threads, of which
+one trains at a time; synth ignores it. Every matrix product of a batch
+with a weight matrix runs in slices that OpenBLAS keeps on the calling
+thread, so each of these threads uses one core and no BLAS thread waits
+beside it. On two cores bounds verify gets faster at --threads 2 (about
+5 s down to about 3.3 s on perfbench/configs/bounds_mc.cfg); train and
+figure do not, because their arms spend most of their training in small
+numpy calls that hold the interpreter lock, so arms take turns at it
+rather than wake each other across cores. Every command exits 0 on
 success and 1 on any error, leaving its output directory as it was,
 including any previous run there.
 """

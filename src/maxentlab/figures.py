@@ -4,12 +4,12 @@
 ``PIPELINES`` maps each to the arms it trains per seed and to a reducer that
 writes its plot-ready CSVs. One runner serves them all: it expands the seeds
 into ``ArmSpec``s, resolves the mixture once, trains every arm with
-``run_arm`` (optionally thread-parallel; results are collected in grid
-order, so thread count never changes output), calls the reducer, and writes
-a normalized ``summary.csv`` with one row per arm, which is what ``report``
-merges across runs. ``pc_scatter`` trains nothing: its grid is empty.
-Every pipeline writes through an ArtifactSession and finishes with a
-manifest.
+``run_arm`` (optionally thread-parallel, with one arm training at a time;
+results are collected in grid order, so thread count never changes output),
+calls the reducer, and writes a normalized ``summary.csv`` with one row per
+arm, which is what ``report`` merges across runs. ``pc_scatter`` trains
+nothing: its grid is empty. Every pipeline writes through an ArtifactSession
+and finishes with a manifest.
 
 Dataset streams are fixed functions of the run seed: train and validation
 sets use distinct derived seeds, and label corruption has its own stream, so
@@ -19,6 +19,7 @@ any two arms at the same seed see identical data.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +59,15 @@ SUMMARY_CSV_HEADER = (
     "val_acc,val_ce,val_entropy,train_ce,train_entropy,top_prob_mean,w_l2,tail_mass"
 )
 SWEEP_CSV_HEADER = "gamma,val_acc,val_entropy,w_l2"
+
+# Held by ``run_arm`` while it trains. SGD on small batches spends its time in
+# the interpreter, so two arms cannot train at once under the GIL. When they
+# try from threads on two cores, every short numpy call that drops the GIL
+# wakes the other thread on the other core: figure spectrum at --threads 2
+# made about 110,000 such switches a run, took about a quarter more CPU time
+# and a wall time that followed the host's scheduling. Taking turns, an arm's
+# sampling, evaluation and feature spectrum still overlap another's training.
+_TRAINING = threading.Lock()
 
 
 def train_dataset_seed(seed: int) -> int:
@@ -157,7 +167,8 @@ def run_arm(
         seed,
         with_feature_map=run_cfg.train_feature_map,
     )
-    trained, history = train(model0, tr, va, run_cfg)
+    with _TRAINING:
+        trained, history = train(model0, tr, va, run_cfg)
     report = evaluate(trained, va)
     spectrum = tail = None
     if trained.feature_map is not None:

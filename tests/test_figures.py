@@ -1,5 +1,7 @@
 """Every figure pipeline runs end to end on a small config."""
 
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from maxentlab.figures import (
     run_train,
 )
 from maxentlab.manifest import load_manifest
+from maxentlab.training import train
 
 SMALL = """
 [experiment]
@@ -154,6 +157,30 @@ def test_threaded_figure_matches_serial(small_cfg, tmp_path):
 def test_threaded_pipeline_matches_serial(small_cfg, tmp_path, kind):
     cfg = parse_config(SMALL_SPECTRUM) if kind == "spectrum" else small_cfg
     _assert_threads_do_not_change_artifacts(cfg, kind, tmp_path)
+
+
+def test_threaded_arms_train_one_at_a_time(small_cfg, tmp_path, monkeypatch):
+    import maxentlab.figures as figures
+
+    guard = threading.Lock()
+    state = {"running": 0, "most": 0, "threads": set()}
+
+    def counting_train(*args, **kwargs):
+        with guard:
+            state["running"] += 1
+            state["most"] = max(state["most"], state["running"])
+            state["threads"].add(threading.get_ident())
+        try:
+            time.sleep(0.01)  # long enough for a second arm to start
+            return train(*args, **kwargs)
+        finally:
+            with guard:
+                state["running"] -= 1
+
+    monkeypatch.setattr(figures, "train", counting_train)
+    run_figure(small_cfg, "gamma_sweep", tmp_path / "out", [1, 2], threads=2)
+    assert state["most"] == 1
+    assert len(state["threads"]) == 2 and threading.get_ident() not in state["threads"]
 
 
 def _assert_threads_do_not_change_bounds(cfg, tmp_path):
