@@ -341,6 +341,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for frac in cfg.noise_fractions + cfg.data_fractions:
         if not 0.0 <= frac <= 1.0:
             raise ValidationError(f"fractions must lie in [0, 1], got {frac}", field="sweep")
+    # a data-fraction arm trains on the first floor(fraction * train_n) rows
+    for frac in cfg.data_fractions:
+        if math.floor(frac * cfg.train_n) < 1:
+            raise ValidationError(
+                f"sweep.data_fractions holds {frac}, which leaves no rows of train_n = {cfg.train_n}",
+                field="sweep.data_fractions",
+            )
     if any(g < 0 for g in cfg.gammas):
         raise ValidationError("gammas must be >= 0", field="sweep.gammas")
 

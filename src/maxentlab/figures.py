@@ -9,7 +9,9 @@ results are collected in grid order, so thread count never changes output),
 calls the reducer, and writes a normalized ``summary.csv`` with one row per
 arm, which is what ``report`` merges across runs. ``pc_scatter`` trains
 nothing: its grid is empty. Every pipeline writes through an ArtifactSession
-and finishes with a manifest.
+and finishes with a manifest. Only the arms of ``HISTORY_PIPELINES`` record
+validation CE and accuracy at every epoch; every other arm only checks its
+validation logits for divergence there and is evaluated once, when trained.
 
 Dataset streams are fixed functions of the run seed: train and validation
 sets use distinct derived seeds, and label corruption has its own stream, so
@@ -168,7 +170,7 @@ def run_arm(
         with_feature_map=run_cfg.train_feature_map,
     )
     with _TRAINING:
-        trained, history = train(model0, tr, va, run_cfg)
+        trained, history = train(model0, tr, va, run_cfg, val_metrics=figure in HISTORY_PIPELINES)
     report = evaluate(trained, va)
     spectrum = tail = None
     if trained.feature_map is not None:
@@ -357,6 +359,12 @@ PIPELINES = {
 }
 
 FIGURE_KINDS = tuple(kind for kind in PIPELINES if kind != "train")
+
+# The pipelines whose reducers write per-epoch validation CE and accuracy (the
+# history CSVs). Arms of any other figure, the acceptance bundle's among them,
+# train with ``val_metrics=False``: their records only check the validation
+# logits for divergence, and no artifact reads the skipped fields.
+HISTORY_PIPELINES = frozenset({"train", "ce_vs_val"})
 
 
 def _train_arm(mixture: GaussianMixture, cfg: ExperimentConfig, arm: ArmSpec) -> ArmResult:

@@ -13,7 +13,11 @@ size-weighted mean of the per-batch values seen during that epoch (the last
 short batch counts at its true size). Validation telemetry is what a record
 stores, validation CE and accuracy, taken from one forward pass over the
 full validation set at the end of each epoch; every record of a run writes
-and normalises its validation logits in the same buffer. The full
+and normalises its validation logits in the same buffer. With
+``val_metrics=False`` a record only checks that the validation logits are
+finite, the divergence check the metrics' softmax makes, and leaves both
+fields None: only the pipelines in ``figures.HISTORY_PIPELINES`` write these
+curves, so the other arms skip the softmax, CE and argmax. The full
 ``EvalReport`` (entropy and top-probability statistics) comes from
 ``evaluate``, which the pipelines call once on the trained model.
 
@@ -23,7 +27,9 @@ so a full-batch step moves the parameters by exactly ``maxent_gradient``.
 Each batch takes one ln p, through ``core._log_entropies``, for its
 entropy, and ``core.logit_gradient`` reuses it; label-smoothing arms build
 only their own gradient. The validation set is checked once, before record
-0; the per-epoch records pass it straight to ``core._forward``.
+0; the per-epoch records pass it straight to ``core._forward``, or only
+through the model's products (``core._linear``) when they check for
+divergence alone.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .core import (
     _checked_batch,
     _forward,
     _label_ce,
+    _linear,
     _log_entropies,
     _param_grads,
     entropy_batch,
@@ -223,12 +230,16 @@ def train(
     train_set: LabeledDataset,
     val_set: LabeledDataset | None,
     config: TrainConfig,
+    *,
+    val_metrics: bool = True,
 ) -> tuple[LinearSoftmaxModel, TrainHistory]:
     """Run the configured number of epochs of mini-batch SGD.
 
     Returns a new model (inputs untouched) and the per-epoch history.
     Raises DivergenceError, tagged with epoch and batch, if the loss or the
-    trained parameters stop being finite.
+    trained parameters stop being finite. With ``val_metrics`` false the
+    records carry no validation CE or accuracy; the validation logits are
+    still checked at every epoch end, so a divergence is reported alike.
     """
     config = config.validated()
     if train_set.size == 0:
@@ -245,10 +256,14 @@ def train(
 
     def record(epoch: int, train_ce: float, train_h: float, lr: float) -> EpochRecord:
         vce = vacc = None
-        if has_val:
+        if has_val and val_metrics:
             p = _forward(model, val_x, val_logits)[1]
             vce = float(_label_ce(p, val_set.labels).mean())
             vacc = float((p.argmax(axis=1) == val_set.labels).mean())
+        elif has_val:
+            logits = _linear(model.transform(val_x), model.weights, val_logits)
+            if not np.isfinite(logits).all():
+                raise NonFiniteError("logits must be finite")
         return EpochRecord(epoch, train_ce, train_h, vce, vacc, model.w_l2(), model.w_inf(), lr)
 
     def diverged(what: str, epoch: int, batch: int, err: Exception | None = None):

@@ -201,6 +201,11 @@ class TestCliCommands:
             (["train"], "[experiment]\nseeds = 1\nseeds = 2\n"),
             (["train", "--threads", "0"], "[train]\nepochs = 1\n"),
             (["train", "--threads", "-4"], "[train]\nepochs = 1\n"),
+            # quick.cfg's train_n with a fraction that leaves no training rows
+            (
+                ["figure", "data_fraction_sweep"],
+                "[experiment]\ntrain_n = 64\n[sweep]\ndata_fractions = 0.01,1.0\n",
+            ),
         ],
     )
     def test_unrunnable_config_is_an_error(self, tmp_path, capsys, argv, body):
@@ -259,6 +264,27 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gamma=0.0" in err and "seed=1" in err, err
         assert "epoch" in err and "batch" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_divergence_report_on_a_wide_mixture(self, tmp_path, capsys, epochs):
+        # means +-1000: the first update leaves weights near 1e155, whose logits
+        # overflow in the second batch's forward pass, before any epoch-end record
+        (tmp_path / "wide.mix").write_text(
+            "dim = 2\n[component]\nweight = 0.5\nmean = 1000 0\ncov = 1\n"
+            "[component]\nweight = 0.5\nmean = -1000 0\ncov = 1\n"
+        )
+        body = QUICK.replace("epochs = 5", f"epochs = {epochs}")
+        body = body.replace("lr = constant:0.2", "lr = constant:1e152\nweight_decay = 1.0")
+        p = tmp_path / "cfg.cfg"
+        p.write_text(body + "[mixture]\nsource = file:wide.mix\n")
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["figure", "gamma_sweep", "--config", str(p), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ArmSpec(figure='gamma_sweep', seed=1,") and "gamma=0.0" in err
+        assert err.endswith("non-finite parameters at epoch 1, batch 1: logits must be finite\n")
         assert not out.exists()
 
     def test_mixture_file_resolves_against_the_config_directory(self, tmp_path, monkeypatch):

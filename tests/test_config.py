@@ -1,6 +1,7 @@
 """Config text round trips and strict rejection of malformed input."""
 
 import dataclasses
+import math
 import os
 from collections import Counter
 
@@ -108,12 +109,20 @@ class TestParseErrors:
             ("[train]\nlr = step:0.1:0.5:-2\n", "train.lr"),
             ("[train]\nlr = constant:inf\n", "train.lr"),
             ("[train]\nlr = step:0.1:nan:5\n", "train.lr"),
+            # a data-fraction arm trains on floor(fraction * train_n) rows
+            ("[experiment]\ntrain_n = 64\n[sweep]\ndata_fractions = 0.01,1.0\n", "sweep.data_fractions"),
+            ("[sweep]\ndata_fractions = 0\n", "sweep.data_fractions"),
+            ("[experiment]\ntrain_n = 3\n", "sweep.data_fractions"),
         ],
     )
     def test_rejects_values_the_pipelines_cannot_run(self, text, field):
         with pytest.raises(ValidationError) as err:
             parse_config(text)
         assert err.value.field == field
+
+    def test_data_fraction_leaving_one_row_is_accepted(self):
+        cfg = parse_config("[experiment]\ntrain_n = 64\n[sweep]\ndata_fractions = 0.015625,1\n")
+        assert cfg.data_fractions == (0.015625, 1.0)
 
     @pytest.mark.parametrize(
         "text",
@@ -140,6 +149,12 @@ class TestLrParsing:
         for bad in ("constant", "step:1.0", "cosine:0.1", "linear:a"):
             with pytest.raises(ParseError):
                 parse_lr(bad)
+
+
+def _runnable_data_fractions(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with each data fraction that leaves no training row replaced by 1.0."""
+    fracs = tuple(f if math.floor(f * cfg.train_n) >= 1 else 1.0 for f in cfg.data_fractions)
+    return dataclasses.replace(cfg, data_fractions=fracs)
 
 
 class TestRoundTrip:
@@ -242,7 +257,7 @@ class TestRoundTrip:
         bounds_scales=st.lists(
             st.floats(0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=4
         ).map(tuple),
-    ))
+    ).map(_runnable_data_fractions))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_varies_every_key(self, cfg):
         assert parse_config(serialize_config(cfg)) == cfg

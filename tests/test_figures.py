@@ -216,3 +216,83 @@ def test_threaded_spectrum_matches_serial_on_sliced_products(tmp_path):
         for t in (1, 2)
     ]
     assert digests[0] == digests[1]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _artifacts_and_digest(manifest: Path) -> tuple[dict, str]:
+    man = load_manifest(manifest, verify=True)
+    return {a["path"]: a["sha256"] for a in man.artifacts}, man.digest()
+
+
+@pytest.mark.parametrize("kind", ("train",) + FIGURE_KINDS)
+def test_skipped_val_metrics_are_never_read(tmp_path, monkeypatch, kind):
+    # every arm of every pipeline computing its per-epoch validation metrics
+    # must change no artifact: only the history pipelines write them
+    import maxentlab.figures as figures
+
+    if kind == "spectrum":
+        text = (CONFIGS / "spectrum.cfg").read_text()
+        text = text.replace("seeds = 1,2,3,4,5,6", "seeds = 1").replace("epochs = 200", "epochs = 4")
+        path = tmp_path / "spectrum_short.cfg"
+        path.write_text(text)
+        cfg = parse_config(path.read_text(), base_dir=tmp_path)
+    else:
+        cfg = parse_config((CONFIGS / "quick.cfg").read_text(), base_dir=CONFIGS)
+
+    def run(out):
+        if kind == "train":
+            return run_train(cfg, out, cfg.seeds)
+        return run_figure(cfg, kind, out, cfg.seeds)
+
+    normal = _artifacts_and_digest(run(tmp_path / "normal"))
+    monkeypatch.setattr(figures, "HISTORY_PIPELINES", frozenset(figures.PIPELINES))
+    forced = _artifacts_and_digest(run(tmp_path / "forced"))
+    assert normal == forced
+
+
+@pytest.mark.parametrize("kind", ("train",) + FIGURE_KINDS)
+def test_only_history_pipelines_record_val_metrics(small_cfg, tmp_path, monkeypatch, kind):
+    import maxentlab.figures as figures
+
+    seen = []
+
+    def spying_train(*args, val_metrics, **kwargs):
+        model, history = train(*args, val_metrics=val_metrics, **kwargs)
+        seen.append((val_metrics, history))
+        return model, history
+
+    monkeypatch.setattr(figures, "train", spying_train)
+    cfg = parse_config(SMALL_SPECTRUM) if kind == "spectrum" else small_cfg
+    if kind == "train":
+        run_train(cfg, tmp_path / kind, [1, 2])
+    else:
+        run_figure(cfg, kind, tmp_path / kind, [1, 2])
+    assert kind == "pc_scatter" or seen
+    wanted = kind in ("train", "ce_vs_val")
+    for val_metrics, history in seen:
+        assert val_metrics is wanted
+        for record in history.records:
+            if wanted:
+                assert np.isfinite([record.val_ce, record.val_accuracy]).all()
+            else:
+                assert record.val_ce is None and record.val_accuracy is None
+
+
+def test_arms_outside_the_pipelines_skip_val_metrics(monkeypatch):
+    # the acceptance bundle names its arms "fine", "large", "noise", ...
+    import maxentlab.figures as figures
+
+    seen = []
+
+    def spying_train(*args, val_metrics, **kwargs):
+        seen.append(val_metrics)
+        return train(*args, val_metrics=val_metrics, **kwargs)
+
+    monkeypatch.setattr(figures, "train", spying_train)
+    cfg = parse_config(SMALL)
+    mixture = figures.resolve_mixture(cfg)
+    for figure in ("fine", "ce_vs_val"):
+        figures.run_arm(mixture, cfg, figure, 1, gamma=0.5)
+    assert seen == [False, True]

@@ -1,5 +1,6 @@
 """SGD trainer: determinism, reductions, noise injection, telemetry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,33 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
             train(init_model(2, 2, 2, 0.0, seed=1), ds, None, cfg)
         assert (err.value.epoch, err.value.batch) == (2, 0)
+
+    @pytest.mark.parametrize("train_feature_map", [False, True])
+    def test_skipped_val_metrics_leave_the_run_unchanged(self, train_feature_map):
+        # val_metrics=False drops the validation fields and nothing else, bit for bit
+        ds, val = blobs(1.0, var=1.0), blobs(1.0, count=300, seed=2, var=1.0)
+        model = init_model(2, 2, 2, 0.1, seed=3, with_feature_map=train_feature_map)
+        cfg = quick_cfg(epochs=5, gamma=1.0, train_feature_map=train_feature_map)
+        full, h_full = train(model, ds, val, cfg)
+        lean, h_lean = train(model, ds, val, cfg, val_metrics=False)
+        assert full.weights.tobytes() == lean.weights.tobytes()
+        if train_feature_map:
+            assert full.feature_map.tobytes() == lean.feature_map.tobytes()
+        assert all(r.val_ce is not None and r.val_accuracy is not None for r in h_full.records)
+        assert all(r.val_ce is None and r.val_accuracy is None for r in h_lean.records)
+        blank = dict(val_ce=None, val_accuracy=None)
+        assert [dataclasses.replace(r, **blank) for r in h_full.records] == h_lean.records
+
+    @pytest.mark.parametrize("val_metrics", [True, False])
+    def test_overflowing_validation_logits_diverge_with_or_without_metrics(self, val_metrics):
+        # one batch per epoch: the first update leaves finite weights near 1e308
+        # whose validation logits overflow, which only the epoch-end record sees
+        cfg = quick_cfg(epochs=3, lr=LrSchedule("constant", 5e307))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            model = init_model(2, 2, 2, 0.0, seed=1)
+            train(model, blobs(count=10), blobs(seed=2), cfg, val_metrics=val_metrics)
+        assert (err.value.epoch, err.value.batch) == (1, 0)
+        assert str(err.value) == "non-finite parameters at epoch 1, batch 0: logits must be finite"
 
     def test_incomplete_final_batch_used(self):
         # 10 samples at batch 8: second batch has 2 rows and still updates
