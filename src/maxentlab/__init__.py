@@ -10,22 +10,16 @@ on synthetic low/high-diversity regimes.
 __version__ = "0.1.0"
 
 from .bounds import (
-    cantelli_tail_bound,
     empirical_weight_norm_lower_bound,
-    empirical_weight_norm_lower_bound_asymptotic,
     entropy_deviation_bound,
-    entropy_floor,
-    hoeffding_tail_bound,
     uniform_model_sampler,
     verify_bound,
     weight_norm_lower_bound,
 )
 from .core import (
     LinearSoftmaxModel,
-    empirical_mean_entropy,
     entropy,
     expected_entropy_mc,
-    label_smoothing_loss,
     maxent_gradient,
     maxent_loss,
     predict_proba,
@@ -43,11 +37,9 @@ from .diversity import (
 from .fixtures import make_regime_fixtures, make_spectrum_fixture
 from .mixtures import (
     GaussianMixture,
-    MomentSummary,
     expected_sqnorm,
     fourth_moment_and_variance,
     linear_pushforward,
-    moment_summary,
     overall_covariance,
     recenter_zero_mean,
     sample,

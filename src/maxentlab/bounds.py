@@ -18,17 +18,13 @@ probability delta in (0, 1/2):
       ||w||_2 >= (ln C - Hhat) / D,
       D = 2 sqrt(nu) - sqrt((2/N) (nu + sqrt(V (2/delta - 1) / N)) ln(2/delta))
 
-  which recovers the expected-entropy bound as N -> infinity. A looser
-  asymptotic denominator (2 - sqrt((2/N) ln(2/delta))) sqrt(nu) is exposed
-  separately for comparison at small N.
-
-  entropy floor, for any single input with feature norm r:
-      H >= ln C - 2 ||w||_inf r   (vacuous when negative, H >= 0 anyway)
+  which recovers the expected-entropy bound as N -> infinity.
+  ``bounds_summary.txt`` prints D next to the looser asymptotic denominator
+  (2 - sqrt((2/N) ln(2/delta))) sqrt(nu) for comparison at small N.
 
 The deviation bound is stated for the max row norm ||w||_inf; because
 ||w||_inf <= ||w||_2, substituting ||w||_2 gives a weaker bound that is
-always implied. Verification accounts violations against the ||w||_2 form
-and records the ||w||_inf form alongside it.
+always implied. Verification counts violations against the ||w||_2 form.
 
 Monte-Carlo verification draws (model, dataset) trials. Every observed
 quantity is a mean prediction entropy, which depends on an input x only
@@ -39,11 +35,6 @@ N-sample empirical entropy of a trial are therefore sampled in logit space,
 never as feature vectors. The mixture is validated on entry to
 ``verify_bound``, not again for each trial's dataset, and each trial draws
 from its own derived stream, so the rows do not depend on the thread count.
-
-Tail inequalities: for independent X_i in [a_i, b_i] and mean deviation
-t > 0, Pr(mean - E mean >= t) <= exp(-2 n^2 t^2 / sum (b_i - a_i)^2); for a
-variable with variance sigma^2 and threshold lam > 0,
-Pr(X - E X >= lam) <= sigma^2 / (sigma^2 + lam^2). Both are capped at 1.
 """
 
 from __future__ import annotations
@@ -113,7 +104,7 @@ def _asymptotic_denominator(nu: float, sample_count: int, delta: float) -> float
 
 def empirical_weight_norm_lower_bound(
     class_count: int,
-    empirical_mean_entropy: float,
+    mean_entropy: float,
     nu: float,
     var_sqnorm: float,
     sample_count: int,
@@ -125,68 +116,14 @@ def empirical_weight_norm_lower_bound(
     if not 0.0 < delta < 0.5:
         raise DomainError(f"delta must lie in (0, 0.5), got {delta}")
     log_c = math.log(class_count)
-    if not 0.0 <= empirical_mean_entropy <= log_c * (1 + 1e-12) + 1e-12:
-        raise DomainError(f"entropy {empirical_mean_entropy} outside [0, ln {class_count}]")
+    if not 0.0 <= mean_entropy <= log_c * (1 + 1e-12) + 1e-12:
+        raise DomainError(f"entropy {mean_entropy} outside [0, ln {class_count}]")
     denom = _empirical_denominator(nu, var_sqnorm, sample_count, delta)
     if denom <= 0:
         raise DomainError(
             f"denominator {denom:g} is not positive at N={sample_count}; bound inapplicable"
         )
-    return (log_c - empirical_mean_entropy) / denom
-
-
-def empirical_weight_norm_lower_bound_asymptotic(
-    class_count: int,
-    empirical_mean_entropy: float,
-    nu: float,
-    sample_count: int,
-    delta: float,
-) -> float:
-    """Same bound with the loose large-N denominator (2 - sqrt((2/N) ln(2/delta))) sqrt(nu).
-
-    Reported next to the exact form; the two disagree at small N and this
-    package does not choose between them.
-    """
-    if nu <= 0:
-        raise DomainError(f"nu must be > 0, got {nu}")
-    denom = _asymptotic_denominator(nu, sample_count, delta)
-    if denom <= 0:
-        raise DomainError(f"denominator {denom:g} is not positive; bound inapplicable")
-    return (math.log(class_count) - empirical_mean_entropy) / denom
-
-
-def entropy_floor(w_inf: float, phi_norm: float, class_count: int) -> float:
-    """ln C - 2 ||w||_inf ||phi||; may be negative, in which case it is vacuous."""
-    if w_inf < 0 or phi_norm < 0:
-        raise DomainError("norms must be >= 0")
-    if class_count < 2:
-        raise DomainError(f"need at least 2 classes, got {class_count}")
-    return math.log(class_count) - 2.0 * w_inf * phi_norm
-
-
-def hoeffding_tail_bound(ranges: np.ndarray, t: float) -> float:
-    """Upper-tail bound for the mean of independent bounded variables, capped at 1."""
-    r = np.asarray(ranges, dtype=np.float64)
-    if r.ndim != 2 or r.shape[1] != 2 or r.shape[0] < 1:
-        raise DomainError(f"ranges must be (n, 2), got shape {r.shape}")
-    if (r[:, 1] < r[:, 0]).any():
-        raise DomainError("each range must satisfy a <= b")
-    if t <= 0:
-        return 1.0
-    spread = float(((r[:, 1] - r[:, 0]) ** 2).sum())
-    if spread == 0.0:
-        return 0.0
-    n = r.shape[0]
-    return min(1.0, math.exp(-2.0 * n * n * t * t / spread))
-
-
-def cantelli_tail_bound(variance: float, lam: float) -> float:
-    """One-sided Chebyshev bound sigma^2 / (sigma^2 + lam^2) for lam > 0."""
-    if variance < 0:
-        raise DomainError(f"variance must be >= 0, got {variance}")
-    if lam <= 0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    return variance / (variance + lam * lam)
+    return (log_c - mean_entropy) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +157,6 @@ class TrialRow:
     bound: float
     margin: float
     violated: bool
-    extra_inf_bound: float | None = None
 
     def csv_row(self) -> tuple:
         """This trial's line of verify.csv, under ``VERIFY_CSV_HEADER``."""
@@ -309,7 +245,6 @@ def verify_bound(
     def run_trial(trial: int) -> TrialRow | None:
         rng = derive_rng(seed, TRIAL, trial)
         model = model_sampler(trial, rng)
-        extra = None
         if kind == "weight_norm":
             est, se = expected_entropy_mc(
                 model, mixture, entropy_draws, int(rng.integers(0, 2**63 - 1))
@@ -327,7 +262,6 @@ def verify_bound(
             )
             observed = abs(emp - est)
             bound = entropy_deviation_bound(model.w_l2(), nu, var_sqnorm, sample_count, delta)
-            extra = entropy_deviation_bound(model.w_inf(), nu, var_sqnorm, sample_count, delta)
             margin = bound - observed
         else:  # empirical_weight_norm
             emp = float(_logit_entropies(model, mixture, sample_count, rng).mean())
@@ -346,7 +280,7 @@ def verify_bound(
             margin = observed - bound
         return TrialRow(
             trial, kind, float(observed), float(bound), float(margin),
-            bool(margin < -_margin_tol(bound)), extra,
+            bool(margin < -_margin_tol(bound)),
         )
 
     outcomes = _parallel([lambda t=t: run_trial(t) for t in range(trials)], threads)
@@ -355,12 +289,9 @@ def verify_bound(
     inapplicable = sum(1 for r in outcomes if r is None)
     violations = sum(r.violated for r in rows)
     worst = min((r.margin for r in rows), default=math.inf)
-    inf_bounds = [r.extra_inf_bound for r in rows if r.extra_inf_bound is not None]
 
     effective = len(rows)
     extras = {}
-    if inf_bounds:
-        extras["mean_bound_w_inf"] = float(np.mean(inf_bounds))
     if kind == "empirical_weight_norm":
         extras["asymptotic_denominator"] = _asymptotic_denominator(nu, sample_count, delta)
         extras["exact_denominator"] = _empirical_denominator(nu, var_sqnorm, sample_count, delta)

@@ -2,20 +2,11 @@
 
 Subcommands: synth, train, figure KIND, bounds verify, report. Output goes
 to --out, else the config's out_dir, else $MAXENTLAB_OUT/<command>.
---threads (at least 1) runs the trials of each bound in bounds verify in
-parallel, and the arms of train and figure on that many threads, of which
-one trains at a time; synth ignores it. Every matrix product of a batch
-with a weight matrix runs in slices that OpenBLAS keeps on the calling
-thread, so each of these threads uses one core and no BLAS thread waits
-beside it. On two cores bounds verify gets faster at --threads 2 (about
-5 s down to about 3.3 s on perfbench/configs/bounds_mc.cfg); train and
-figure do not, because their arms spend most of their training in small
-numpy calls that hold the interpreter lock, so arms take turns at it
-rather than wake each other across cores (figure spectrum on
-configs/spectrum.cfg --seeds 1 took 2.3-3.4 s at --threads 1 and 2.6-3.5 s
-at --threads 2, whole process, seven interleaved runs each). Every command
-exits 0 on success and 1 on any error, leaving its output directory as it
-was, including any previous run there.
+--threads (at least 1) runs the trials of each bound in bounds verify, and
+the arms of train and figure, on that many threads; synth ignores it. The
+artifacts are the same bytes for any thread count. Every command exits 0
+on success and 1 on any error, with an "error: ..." line, leaving its output
+directory as it was, including any previous run there.
 """
 
 from __future__ import annotations

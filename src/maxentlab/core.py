@@ -11,7 +11,8 @@ objective is per-sample cross-entropy from the one-hot label minus gamma
 times the prediction entropy, averaged over the batch; gamma = 0 is plain
 cross-entropy and takes the same code path bit for bit. The label-smoothing
 baseline scores the same probabilities against targets mixed with the
-uniform distribution.
+uniform distribution (``smoothed_targets``); its logit gradient is p minus
+those targets.
 
 The analytic logit gradient of the combined objective is
 
@@ -101,11 +102,13 @@ class LinearSoftmaxModel:
 
     def w_l2(self) -> float:
         """sqrt(sum_i ||w_i||^2), the Frobenius norm of W."""
-        return float(np.linalg.norm(self.weights))
+        return _norm_without_overflow(lambda w: float(np.linalg.norm(w)), self.weights)
 
     def w_inf(self) -> float:
         """max_i ||w_i||_2 over class rows."""
-        return float(np.sqrt((self.weights**2).sum(axis=1).max()))
+        return _norm_without_overflow(
+            lambda w: float(np.sqrt((w**2).sum(axis=1).max())), self.weights
+        )
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         """Apply the feature map to a batch of raw rows."""
@@ -116,6 +119,16 @@ class LinearSoftmaxModel:
     def copy(self) -> "LinearSoftmaxModel":
         fm = None if self.feature_map is None else self.feature_map.copy()
         return LinearSoftmaxModel(self.weights.copy(), fm)
+
+
+def _norm_without_overflow(norm, w: np.ndarray) -> float:
+    """``norm(w)``, or m * norm(w / m) with m = max |w| where the squares of ``w`` overflow."""
+    with np.errstate(over="ignore"):
+        value = norm(w)
+    if np.isinf(value):
+        m = float(np.abs(w).max())
+        value = m * norm(w / m)
+    return value
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -212,14 +225,6 @@ def _log_entropies(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_p, np.clip(h, 0.0, float(np.log(p.shape[1])))
 
 
-def empirical_mean_entropy(model: LinearSoftmaxModel, dataset: LabeledDataset) -> float:
-    """(1/N) sum_i H[p(.|x_i)] over the dataset."""
-    if dataset.size == 0:
-        raise ShapeError("dataset is empty")
-    p = predict_proba_batch(model, dataset.features)
-    return float(entropy_batch(p).mean())
-
-
 def expected_entropy_mc(
     model: LinearSoftmaxModel,
     mixture: GaussianMixture,
@@ -276,7 +281,10 @@ def _logit_entropies(
     v = model.weights if model.feature_map is None else model.weights @ model.feature_map
     if v.shape[1] != mixture.dim:
         raise ShapeError(f"mixture dim {mixture.dim} does not match model input {v.shape[1]}")
-    pushed = _pushforward(mixture, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
+        pushed = _pushforward(mixture, v)
+    if not (np.isfinite(pushed.means).all() and np.isfinite(pushed.covariances).all()):
+        raise NonFiniteError("the mixture's logit means or covariances overflow under the weights")
     rank = min(v.shape)
     factors = spectral_factor(pushed.covariances)[:, :, -rank:]
     counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
@@ -392,20 +400,6 @@ def maxent_loss(model: LinearSoftmaxModel, batch: LabeledDataset, gamma: float) 
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     _check_labels(batch, model.class_count)
     value = float(_loss_terms(model, batch.features, batch.labels, gamma).mean())
-    if not np.isfinite(value):
-        raise NonFiniteError(f"loss is not finite: {value}")
-    return value
-
-
-def label_smoothing_loss(model: LinearSoftmaxModel, batch: LabeledDataset, epsilon: float) -> float:
-    """Cross-entropy against targets (1 - eps) * onehot + eps / C."""
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon}")
-    _check_labels(batch, model.class_count)
-    p = predict_proba_batch(model, batch.features)
-    log_p = np.log(np.maximum(p, PROB_FLOOR))
-    targets = smoothed_targets(batch.labels, model.class_count, epsilon)
-    value = float(-(targets * log_p).sum(axis=1).mean())
     if not np.isfinite(value):
         raise NonFiniteError(f"loss is not finite: {value}")
     return value

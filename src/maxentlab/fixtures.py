@@ -56,25 +56,22 @@ def make_regime_fixtures(
 
 
 def make_spectrum_fixture(
-    seed: int,
-    dim: int = DEFAULT_DIM,
-    components: int = DEFAULT_COMPONENTS,
-    nuisance_dims: int = _SPECTRUM_NUISANCE_DIMS,
+    seed: int, dim: int = DEFAULT_DIM, components: int = DEFAULT_COMPONENTS
 ) -> GaussianMixture:
     """Zero-mean mixture whose raw spectrum is dominated by non-class directions."""
     rng = derive_rng(seed, FIXTURE, 1)
-    signal_dims = dim - nuisance_dims
+    signal_dims = dim - _SPECTRUM_NUISANCE_DIMS
     if signal_dims < components - 1:
         raise DomainError(
-            f"spectrum fixture needs dim - {nuisance_dims} >= components - 1 for separable "
-            f"means, got dim={dim}, components={components}"
+            f"spectrum fixture needs dim - {_SPECTRUM_NUISANCE_DIMS} >= components - 1 for "
+            f"separable means, got dim={dim}, components={components}"
         )
     directions = rng.standard_normal((components, signal_dims))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = np.zeros((components, dim))
-    means[:, nuisance_dims:] = directions * _SPECTRUM_MEAN_NORM
+    means[:, _SPECTRUM_NUISANCE_DIMS:] = directions * _SPECTRUM_MEAN_NORM
     variances = np.full(dim, _SPECTRUM_SIGNAL_VAR)
-    variances[:nuisance_dims] = _SPECTRUM_NUISANCE_VAR
+    variances[:_SPECTRUM_NUISANCE_DIMS] = _SPECTRUM_NUISANCE_VAR
     covs = np.tile(np.diag(variances), (components, 1, 1))
     weights = np.full(components, 1.0 / components)
     return validate(recenter_zero_mean(GaussianMixture(weights, means, covs)))

@@ -72,16 +72,6 @@ class GaussianMixture:
         return self.weights @ self.means
 
 
-@dataclass(eq=False)
-class MomentSummary:
-    """Closed-form moments of a zero-mean mixture."""
-
-    overall_covariance: np.ndarray
-    expected_sqnorm: float
-    expected_fourth: float
-    var_sqnorm: float
-
-
 def validate(mixture: GaussianMixture) -> GaussianMixture:
     """Return the mixture iff weights, shapes and covariances are all valid."""
     w, mu, cov = mixture.weights, mixture.means, mixture.covariances
@@ -192,14 +182,6 @@ def fourth_moment_and_variance(mixture: GaussianMixture) -> tuple[float, float]:
     e4 = float(w @ per_component)
     e2 = float(w @ (traces + mu_sq))
     return e4, e4 - e2 * e2
-
-
-def moment_summary(mixture: GaussianMixture) -> MomentSummary:
-    """Bundle Sigma*, E||X||^2, E||X||^4 and Var||X||^2 for a zero-mean mixture."""
-    sigma = overall_covariance(mixture)
-    e2 = expected_sqnorm(mixture)
-    e4, var = fourth_moment_and_variance(mixture)
-    return MomentSummary(sigma, e2, e4, var)
 
 
 def linear_pushforward(mixture: GaussianMixture, matrix: np.ndarray) -> GaussianMixture:

@@ -136,6 +136,15 @@ class TrainConfig:
             )
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}", field="train.epochs")
+        if self.epochs > 0:
+            # every schedule is monotone in the epoch, so the last lr is the extreme one
+            last = self.epochs - 1
+            try:
+                final_lr = lr.value(last, self.epochs)
+            except OverflowError:
+                final_lr = np.inf
+            if not np.isfinite(final_lr):
+                raise ValidationError(f"lr at epoch {last} is not finite", field="train.lr")
         return self
 
 

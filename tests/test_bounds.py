@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from maxentlab.bounds import (
     BOUND_KINDS,
-    cantelli_tail_bound,
     empirical_weight_norm_lower_bound,
-    empirical_weight_norm_lower_bound_asymptotic,
     entropy_deviation_bound,
-    entropy_floor,
-    hoeffding_tail_bound,
     uniform_model_sampler,
     verify_bound,
     weight_norm_lower_bound,
@@ -84,7 +80,7 @@ class TestEntropyDeviationBound:
 
 
 class TestEmpiricalWeightNormBound:
-    FIXTURE = dict(class_count=10, empirical_mean_entropy=1.0, nu=4.0, var_sqnorm=32.0, delta=0.1)
+    FIXTURE = dict(class_count=10, mean_entropy=1.0, nu=4.0, var_sqnorm=32.0, delta=0.1)
 
     def test_sandwich_at_fixture(self):
         t1 = weight_norm_lower_bound(10, 1.0, 4.0)
@@ -104,55 +100,6 @@ class TestEmpiricalWeightNormBound:
         # tiny N with large variance drives the subtracted term past 2 sqrt(nu)
         with pytest.raises(DomainError):
             empirical_weight_norm_lower_bound(10, 1.0, 0.01, 1e6, 2, 0.01)
-
-    def test_asymptotic_form_close_at_large_n(self):
-        exact = empirical_weight_norm_lower_bound(sample_count=10**6, **self.FIXTURE)
-        loose = empirical_weight_norm_lower_bound_asymptotic(10, 1.0, 4.0, 10**6, 0.1)
-        assert exact == pytest.approx(loose, rel=1e-3)
-
-
-class TestEntropyFloor:
-    def test_zero_weight_attains_log_c(self):
-        assert entropy_floor(0.0, 5.0, 3) == pytest.approx(math.log(3))
-
-    def test_zero_feature_attains_log_c(self):
-        assert entropy_floor(2.0, 0.0, 3) == pytest.approx(math.log(3))
-
-    def test_vacuous_value(self):
-        assert entropy_floor(1.0, 2.0, 3) == pytest.approx(math.log(3) - 4.0)
-        assert entropy_floor(1.0, 2.0, 3) < 0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            entropy_floor(-1.0, 1.0, 3)
-
-
-class TestTailBounds:
-    def test_hoeffding_vacuous_t(self):
-        assert hoeffding_tail_bound(np.tile([0.0, 1.0], (10, 1)), 0.0) == 1.0
-
-    def test_hoeffding_reference(self):
-        value = hoeffding_tail_bound(np.tile([0.0, 1.0], (100, 1)), 0.1)
-        assert value == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-    def test_hoeffding_cap(self):
-        assert hoeffding_tail_bound(np.tile([0.0, 100.0], (2, 1)), 1e-9) == 1.0
-
-    def test_hoeffding_degenerate_ranges(self):
-        assert hoeffding_tail_bound(np.tile([1.0, 1.0], (5, 1)), 0.1) == 0.0
-
-    def test_hoeffding_domain(self):
-        with pytest.raises(DomainError):
-            hoeffding_tail_bound(np.array([[1.0, 0.0]]), 0.1)
-
-    def test_cantelli_half_at_sigma(self):
-        assert cantelli_tail_bound(4.0, 2.0) == pytest.approx(0.5)
-
-    def test_cantelli_domain(self):
-        with pytest.raises(DomainError):
-            cantelli_tail_bound(1.0, 0.0)
-        with pytest.raises(DomainError):
-            cantelli_tail_bound(-1.0, 1.0)
 
 
 class TestVerifyBound:
@@ -181,7 +128,6 @@ class TestVerifyBound:
             entropy_draws=2000,
         )
         assert summary.violation_rate <= 0.1
-        assert "mean_bound_w_inf" in summary.extras
 
     def test_empirical_weight_norm_rate_below_delta(self):
         sampler = uniform_model_sampler(3, 2)

@@ -30,6 +30,11 @@ lr = constant:0.2
 gammas = 0,1
 """
 
+OVERFLOWING_SCALE = (
+    "[bounds]\nkinds = weight_norm\ntrials = 100\nsample_counts = 10\n"
+    "entropy_draws = 1000\nscales = 1e300\n"
+)
+
 
 # every kind of value csv_text formats
 CSV_CELLS = st.one_of(
@@ -206,6 +211,15 @@ class TestCliCommands:
                 ["figure", "data_fraction_sweep"],
                 "[experiment]\ntrain_n = 64\n[sweep]\ndata_fractions = 0.01,1.0\n",
             ),
+            # the step schedule's lr overflows a Python float at the last epoch
+            (
+                ["train"],
+                "[experiment]\ntrain_n = 40\nval_n = 40\nseeds = 1\n"
+                "[train]\nlr = step:1:1e300:1\nepochs = 3\n",
+            ),
+            # weights near 1e300 overflow the mixture's logit covariances (1e150 runs)
+            (["bounds", "verify"], OVERFLOWING_SCALE),
+            (["bounds", "verify", "--threads", "2"], OVERFLOWING_SCALE),
         ],
     )
     def test_unrunnable_config_is_an_error(self, tmp_path, capsys, argv, body):

@@ -10,7 +10,6 @@ from maxentlab.mixtures import (
     expected_sqnorm,
     fourth_moment_and_variance,
     linear_pushforward,
-    moment_summary,
     overall_covariance,
     recenter_zero_mean,
     sample,
@@ -180,16 +179,6 @@ class TestMoments:
             mix = random_mixture(rng, n=5, m=3)
             trace = float(np.trace(overall_covariance(mix)))
             assert trace == pytest.approx(expected_sqnorm(mix), rel=1e-10)
-
-    def test_moment_summary_consistency(self, rng):
-        mix = random_mixture(rng, n=4, m=2)
-        summary = moment_summary(mix)
-        assert summary.var_sqnorm == pytest.approx(
-            summary.expected_fourth - summary.expected_sqnorm**2, rel=1e-12
-        )
-        assert summary.var_sqnorm >= -1e-10
-        eigs = np.linalg.eigvalsh(summary.overall_covariance)
-        assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
     def test_moments_against_monte_carlo(self, rng):
         # smaller cousin of the acceptance moment suite: 3 mixtures, 2e5 draws

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from maxentlab._streams import SHUFFLE, derive_rng
-from maxentlab.core import LinearSoftmaxModel, maxent_gradient
+from maxentlab.core import LinearSoftmaxModel, maxent_gradient, predict_proba
 from maxentlab.datasets import LabeledDataset
 from maxentlab.errors import (
     DivergenceError,
@@ -313,6 +313,49 @@ class TestTrain:
             np.testing.assert_array_equal(trained.feature_map, model.feature_map - lr * grad_a)
         else:
             assert grad_a is None and trained.feature_map is None
+
+    @pytest.mark.parametrize("train_feature_map", [False, True])
+    def test_full_batch_lsr_step_is_smoothed_ce_gradient(self, train_feature_map):
+        # an lsr step moves by p - smoothed targets: the gradient of the label-smoothing loss
+        ds = blobs(count=40, var=1.0)
+        lr, eps, h = 0.3, 0.2, 1e-5
+        model = init_model(2, 2, 2, 0.2, seed=3, with_feature_map=train_feature_map)
+        cfg = quick_cfg(
+            epochs=1,
+            batch_size=ds.size,
+            objective="lsr",
+            lsr_epsilon=eps,
+            lr=LrSchedule("constant", lr),
+            train_feature_map=train_feature_map,
+        )
+        trained, _ = train(model, ds, None, cfg)
+
+        def lsr_loss(weights, feature_map):
+            m = LinearSoftmaxModel(weights, feature_map)
+            total = 0.0
+            for x, y in zip(ds.features, ds.labels):
+                t = np.full(2, eps / 2)
+                t[y] += 1 - eps
+                total += -(t * np.log(predict_proba(m, x))).sum()
+            return total / ds.size
+
+        def central_difference(param, loss_at):
+            grad = np.zeros_like(param)
+            for idx in np.ndindex(*param.shape):
+                up, down = param.copy(), param.copy()
+                up[idx] += h
+                down[idx] -= h
+                grad[idx] = (loss_at(up) - loss_at(down)) / (2 * h)
+            return grad
+
+        fm = model.feature_map
+        grad_w = central_difference(model.weights, lambda w: lsr_loss(w, fm))
+        np.testing.assert_allclose((model.weights - trained.weights) / lr, grad_w, atol=1e-8)
+        if train_feature_map:
+            grad_a = central_difference(fm, lambda a: lsr_loss(model.weights, a))
+            np.testing.assert_allclose((fm - trained.feature_map) / lr, grad_a, atol=1e-8)
+        else:
+            assert trained.feature_map is None
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
