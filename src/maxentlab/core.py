@@ -42,6 +42,8 @@ parallel training arms or bound trials.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,10 +124,14 @@ class LinearSoftmaxModel:
 
 
 def _norm_without_overflow(norm, w: np.ndarray) -> float:
-    """``norm(w)``, or m * norm(w / m) with m = max |w| where the squares of ``w`` overflow."""
+    """``norm(w)``, or m * norm(w / m) with m = max |w| where the squares of ``w`` overflow.
+
+    On a model's small weight matrix, entering ``np.errstate`` costs about as
+    much as finding max |w| would, so no test of max |w| comes first.
+    """
     with np.errstate(over="ignore"):
         value = norm(w)
-    if np.isinf(value):
+    if math.isinf(value):
         m = float(np.abs(w).max())
         value = m * norm(w / m)
     return value
@@ -150,9 +156,10 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a float64 array the caller owns, computed in place in ``z``."""
     if not np.isfinite(z).all():
         raise NonFiniteError("logits must be finite")
-    z -= z.max(axis=1, keepdims=True)
+    # the ufunc reductions ``z.max`` and ``z.sum`` call, without their wrappers
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
     return z
 
 
@@ -221,8 +228,15 @@ def _log_entropies(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_p = np.maximum(p, PROB_FLOOR)
     np.log(log_p, out=log_p)
     # p * log_p is exactly 0 at p = 0, matching the convention 0 ln 0 = 0
-    h = -(p * log_p).sum(axis=1)
-    return log_p, np.clip(h, 0.0, float(np.log(p.shape[1])))
+    h = -np.add.reduce(p * log_p, axis=1)
+    # the clip method is np.clip's ufunc without np.clip's wrapper
+    return log_p, h.clip(0.0, _log_class_count(p.shape[1]))
+
+
+@functools.cache
+def _log_class_count(classes: int) -> float:
+    """ln C, the largest entropy, as numpy's log gives it."""
+    return float(np.log(classes))
 
 
 def expected_entropy_mc(
@@ -340,16 +354,19 @@ def _linear(
     output is then the same K-term dot product whatever slice holds it, and the
     result equals one whole ``np.matmul`` bit for bit. Shapes beyond the
     ``_ROW_SLICE_MAX`` or ``_COLUMN_SLICE_MAX`` limits, and one-output products
-    (gemv again), are multiplied whole.
+    (gemv again), are multiplied whole. A one-slice product, such as every SGD
+    batch's logits, is that one call, made without planning slice edges.
     """
     outputs, inner = w.shape
     width = x.shape[1] if columns else x.shape[0]
-    if out is None:
-        out = np.empty((outputs, width) if columns else (width, outputs))
     max_outputs, max_inner = _COLUMN_SLICE_MAX if columns else _ROW_SLICE_MAX
     count = 1
     if 2 <= outputs <= max_outputs and inner <= max_inner:
         count = -(-width // (_GEMM_ONE_THREAD // (outputs * inner)))
+    if count == 1:
+        return np.matmul(w, x, out=out) if columns else np.matmul(x, w.T, out=out)
+    if out is None:
+        out = np.empty((outputs, width) if columns else (width, outputs))
     edges = [width * i // count for i in range(count + 1)]
     for lo, hi in zip(edges, edges[1:]):
         if columns:

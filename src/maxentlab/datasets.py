@@ -59,11 +59,23 @@ class LabeledDataset:
         return self.features.tobytes() + self.labels.tobytes() + self.noise_mask.tobytes()
 
 
+# Rows converted to Python numbers at a time by ``dataset_csv_lines``: enough to
+# amortise ``tolist``, few enough that the converted block stays far smaller
+# than the lines it becomes.
+_EXPORT_BLOCK = 1024
+
+
 def dataset_csv_lines(dataset: LabeledDataset) -> list[str]:
-    """Rows in the export format ``label,f0,f1,...,f{d-1}`` (header first)."""
+    """Rows in the export format ``label,f0,f1,...,f{d-1}`` (header first).
+
+    Features are written as ``repr`` of Python floats, the shortest string
+    that reads back to the same float64. ``tolist`` makes those floats a
+    block of rows at a time, instead of one numpy scalar per value.
+    """
     header = "label," + ",".join(f"f{j}" for j in range(dataset.dim))
     lines = [header]
-    for i in range(dataset.size):
-        feats = ",".join(repr(float(v)) for v in dataset.features[i])
-        lines.append(f"{int(dataset.labels[i])},{feats}")
+    for lo in range(0, dataset.size, _EXPORT_BLOCK):
+        labels = dataset.labels[lo : lo + _EXPORT_BLOCK].tolist()
+        rows = dataset.features[lo : lo + _EXPORT_BLOCK].tolist()
+        lines += [f"{label}," + ",".join(map(repr, row)) for label, row in zip(labels, rows)]
     return lines

@@ -4,10 +4,10 @@
 ``PIPELINES`` maps each to the arms it trains per seed and to a reducer that
 writes its plot-ready CSVs. One runner serves them all: it expands the seeds
 into ``ArmSpec``s, resolves the mixture once, trains every arm with
-``run_arm`` (optionally thread-parallel, with one arm training at a time;
-results are collected in grid order, so thread count never changes output),
-calls the reducer, and writes a normalized ``summary.csv`` with one row per
-arm, which is what ``report`` merges across runs. ``pc_scatter`` trains
+``run_arm`` (seeds optionally thread-parallel, with one arm training at a
+time; results are collected in grid order, so thread count never changes
+output), calls the reducer, and writes a normalized ``summary.csv`` with one
+row per arm, which is what ``report`` merges across runs. ``pc_scatter`` trains
 nothing: its grid is empty. Every pipeline writes through an ArtifactSession
 and finishes with a manifest. Only the arms of ``HISTORY_PIPELINES`` record
 validation CE and accuracy at every epoch; every other arm only checks its
@@ -15,13 +15,17 @@ validation logits for divergence there and is evaluated once, when trained.
 
 Dataset streams are fixed functions of the run seed: train and validation
 sets use distinct derived seeds, and label corruption has its own stream, so
-any two arms at the same seed see identical data.
+any two arms at the same seed see identical data. The runner therefore
+samples the train and validation sets once per seed and trains that seed's
+arms in turn on the same read-only pair; label noise and data fractions make
+an arm its own copy. Only the seeds in flight hold datasets.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,9 +71,16 @@ SWEEP_CSV_HEADER = "gamma,val_acc,val_entropy,w_l2"
 # try from threads on two cores, every short numpy call that drops the GIL
 # wakes the other thread on the other core: figure spectrum at --threads 2
 # made about 110,000 such switches a run, took about a quarter more CPU time
-# and a wall time that followed the host's scheduling. Taking turns, an arm's
-# sampling, evaluation and feature spectrum still overlap another's training.
+# and a wall time that followed the host's scheduling. Taking turns, a seed's
+# sampling and an arm's evaluation and feature spectrum still overlap another
+# seed's training.
 _TRAINING = threading.Lock()
+
+# (mixture, cfg, seed, datasets) of the seed whose arms ``_train_seed`` is
+# training on this thread; ``run_arm`` takes those datasets instead of
+# sampling the same ones again, so the grid still trains each arm through
+# the public ``run_arm`` and its signature.
+_SEED_DATASETS: ContextVar[tuple | None] = ContextVar("seed_datasets", default=None)
 
 
 def train_dataset_seed(seed: int) -> int:
@@ -152,8 +163,16 @@ def run_arm(
     noise_fraction: float = 0.0,
     data_fraction: float = 1.0,
 ) -> ArmResult:
-    """One training run; all arms at a given seed share datasets."""
-    tr, va = make_datasets(mixture, cfg, seed)
+    """One training run; all arms at a given seed share datasets.
+
+    Inside the grid runner's ``_train_seed`` for this mixture, config and
+    seed, the arm reads the datasets sampled there; elsewhere it samples them.
+    """
+    shared = _SEED_DATASETS.get()
+    if shared is not None and shared[0] is mixture and shared[1] is cfg and shared[2] == seed:
+        tr, va = shared[3]
+    else:
+        tr, va = make_datasets(mixture, cfg, seed)
     if noise_fraction > 0:
         tr = inject_label_noise(tr, noise_fraction, seed=noise_seed(seed))
     if data_fraction < 1.0:
@@ -374,18 +393,35 @@ def _train_arm(mixture: GaussianMixture, cfg: ExperimentConfig, arm: ArmSpec) ->
         raise DivergenceError(f"{arm}: {err}", epoch=err.epoch, batch=err.batch) from err
 
 
+def _train_seed(
+    mixture: GaussianMixture, cfg: ExperimentConfig, arms: list[ArmSpec]
+) -> list[ArmResult]:
+    """Train the arms of one seed, in order, on one read-only sample of its datasets."""
+    seed = arms[0].seed
+    datasets = make_datasets(mixture, cfg, seed)
+    for ds in datasets:
+        # an arm that wrote into them would change the data of the arms after it
+        for array in (ds.features, ds.labels, ds.noise_mask):
+            array.flags.writeable = False
+    token = _SEED_DATASETS.set((mixture, cfg, seed, datasets))
+    try:
+        return [_train_arm(mixture, cfg, arm) for arm in arms]
+    finally:
+        _SEED_DATASETS.reset(token)
+
+
 def _run_grid(cfg: ExperimentConfig, kind: str, command: str, out_dir: Path, seeds, threads):
     """Train ``kind``'s arm grid, reduce it to CSVs, write summary.csv and the manifest."""
     seeds = list(seeds)
     arms_at_seed, reduce = PIPELINES[kind]
     per_seed = arms_at_seed(cfg)
-    arms = [ArmSpec(kind, seed, **arm) for seed in seeds for arm in per_seed]
+    grid = [[ArmSpec(kind, seed, **arm) for arm in per_seed] for seed in seeds]
     with _open_session(cfg, out_dir, command) as session:
         mixture, results = None, []
-        if arms:
+        if per_seed:
             mixture = resolve_mixture(cfg)
-            tasks = [lambda a=arm: _train_arm(mixture, cfg, a) for arm in arms]
-            results = _parallel(tasks, threads)
+            tasks = [lambda a=arms: _train_seed(mixture, cfg, a) for arms in grid]
+            results = [res for seed_results in _parallel(tasks, threads) for res in seed_results]
             session.mark_stage("train")
         reduce(cfg, session, seeds, mixture, results)
         rows = [r.summary_row() for r in results]

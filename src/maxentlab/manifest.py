@@ -61,9 +61,10 @@ class ArtifactSession:
 
     Artifacts are written into a ``.staging-*`` directory inside ``out_dir``
     (so each publishing rename stays on one filesystem), and ``finish`` moves
-    them into place, the manifest last. ``abort`` removes the staging directory,
-    so a failed run leaves ``out_dir``, and any previous run in it, as it was;
-    as a context manager, the session aborts when its block raises.
+    them into place, the manifest last, or none of them. ``abort`` removes the
+    staging directory, so a failed run leaves ``out_dir``, and any previous
+    run in it, as it was; as a context manager, the session aborts when its
+    block raises.
     """
 
     def __init__(self, out_dir: Path, command: str, config_text: str, tool_version: str):
@@ -116,7 +117,12 @@ class ArtifactSession:
             pass
 
     def finish(self) -> Path:
-        """Publish the staged artifacts, then the manifest that lists them."""
+        """Publish the staged artifacts, then the manifest that lists them.
+
+        The files a name replaces are first moved aside. If a rename fails,
+        the names published so far are taken back and the old files put back,
+        so a previous run still verifies.
+        """
         names = self.created + [MANIFEST_NAME]
         try:
             artifacts = []
@@ -130,12 +136,51 @@ class ArtifactSession:
             for name in names:
                 if (self.out_dir / name).is_dir():
                     raise IoError(f"cannot replace directory {self.out_dir / name}")
-            for name in names:
-                os.replace(self.staging / name, self.out_dir / name)
+            self._publish(names)
             self.staging.rmdir()
         except OSError as err:
             raise IoError(f"cannot publish the run in {self.out_dir}: {err}") from err
         return self.out_dir / MANIFEST_NAME
+
+    def _publish(self, names: list[str]) -> None:
+        """Move ``names`` from staging into ``out_dir``, all of them or, on an OSError, none.
+
+        The files the names replace wait in a ``.previous-*`` directory of
+        ``out_dir``, outside the staging directory that ``abort`` removes. If
+        a step of the rollback fails as well, that directory stays with the
+        old files not put back, and the error names it.
+        """
+        previous = Path(tempfile.mkdtemp(prefix=".previous-", dir=self.out_dir))
+        replaced, published = [], []
+        try:
+            for name in names:
+                if os.path.lexists(self.out_dir / name):
+                    os.replace(self.out_dir / name, previous / name)
+                    replaced.append(name)
+            for name in names:
+                os.replace(self.staging / name, self.out_dir / name)
+                published.append(name)
+        except OSError as err:
+            failed = []
+            for name in published:
+                if name not in replaced:
+                    try:
+                        (self.out_dir / name).unlink()
+                    except OSError:
+                        failed.append(name)
+            for name in replaced:
+                try:
+                    os.replace(previous / name, self.out_dir / name)
+                except OSError:
+                    failed.append(name)
+            if failed:
+                raise OSError(
+                    f"{err}; could not roll back {', '.join(failed)}: "
+                    f"the replaced files are kept in {previous}"
+                ) from err
+            previous.rmdir()
+            raise
+        shutil.rmtree(previous)
 
 
 def load_manifest(path: Path, verify: bool = True) -> RunManifest:

@@ -5,21 +5,32 @@ Plain SGD, no momentum. Per batch the update is
     W <- W - lr * (grad_W + weight_decay * W)
 
 and likewise for the feature map when it is being trained; both gradients
-are taken at the pre-update parameters. The per-epoch batch order comes
+are taken at the pre-update parameters (without decay the sum is skipped:
+grad + 0 * W is grad for every finite W). The per-epoch batch order comes
 from a stream derived from (seed, epoch), so a run is a pure function of
-(datasets, config). History record k holds the state after k epochs; record
-0 is the pre-training state. Train-loss telemetry for epoch k >= 1 is the
-size-weighted mean of the per-batch values seen during that epoch (the last
-short batch counts at its true size). Validation telemetry is what a record
-stores, validation CE and accuracy, taken from one forward pass over the
-full validation set at the end of each epoch; every record of a run writes
-and normalises its validation logits in the same buffer. With
-``val_metrics=False`` a record only checks that the validation logits are
-finite, the divergence check the metrics' softmax makes, and leaves both
-fields None: only the pipelines in ``figures.HISTORY_PIPELINES`` write these
-curves, so the other arms skip the softmax, CE and argmax. The full
-``EvalReport`` (entropy and top-probability statistics) comes from
-``evaluate``, which the pipelines call once on the trained model.
+(datasets, config). Each epoch gathers its shuffled rows once, and every
+batch is a contiguous slice of that copy, holding the rows and values the
+batch's fancy index would. History record k holds the state after k epochs;
+record 0 is the pre-training state. Train-loss telemetry for epoch k >= 1 is
+the size-weighted mean of the per-batch values seen during that epoch (the
+last short batch counts at its true size); a batch's CE is read off the ln p
+its entropy takes. Validation telemetry is what a record stores, validation
+CE and accuracy, taken from one forward pass over the full validation set at
+the end of each epoch; every record of a run writes and normalises its
+validation logits in the same buffer.
+
+With ``val_metrics=False`` a record leaves both fields None and only checks
+that the validation logits are finite, the divergence check the metrics'
+softmax makes: only the pipelines in ``figures.HISTORY_PIPELINES`` write
+these curves, so the other arms skip the softmax, CE and argmax. That check
+first bounds the logits: with r = max |x| per raw column of the validation
+set, taken once per run, every feature is at most |A| r and every logit at
+most |W| (|A| r). While both bounds stay below 1e300 (``_OVERFLOW_SAFE``) no
+logit can overflow, and the record skips the product, a few hundred
+multiply-adds instead of one pass over the set; otherwise it multiplies the
+set as before, so a divergence is reported with the same message, epoch and
+batch. The full ``EvalReport`` (entropy and top-probability statistics)
+comes from ``evaluate``, which the pipelines call once on the trained model.
 
 Forward passes run through ``core._forward`` and parameter gradients through
 ``core._param_grads``, the kernel behind the public loss and gradient API,
@@ -29,11 +40,12 @@ entropy, and ``core.logit_gradient`` reuses it; label-smoothing arms build
 only their own gradient. The validation set is checked once, before record
 0; the per-epoch records pass it straight to ``core._forward``, or only
 through the model's products (``core._linear``) when they check for
-divergence alone.
+divergence alone and the bounds do not settle it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +77,11 @@ from .errors import (
 OBJECTIVES = ("maxent", "ce", "lsr")
 LR_KINDS = ("constant", "step", "linear")
 TOP_PROB_BINS = 20
+
+# A divergence-only record skips the validation product while every feature
+# and logit is bounded below this: far enough under the float maximum
+# (about 1.8e308) that no rounding of a bounded sum can overflow it.
+_OVERFLOW_SAFE = 1e300
 
 
 @dataclass(frozen=True)
@@ -234,6 +251,21 @@ def inject_label_noise(dataset: LabeledDataset, fraction: float, seed: int) -> L
     return out
 
 
+def _logits_bounded(model: LinearSoftmaxModel, reach: np.ndarray) -> bool:
+    """Whether no input within ``reach`` (max |x| per raw column) can overflow a feature or logit.
+
+    |phi| <= |A| reach and |W phi| <= |W| (|A| reach) elementwise, so bounds
+    below ``_OVERFLOW_SAFE`` prove the validation logits finite. The features
+    are bounded too: a huge feature map under tiny weights overflows them
+    first. Bounds that overflow (inf, or nan from 0 * inf) prove nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = reach if model.feature_map is None else np.abs(model.feature_map) @ reach
+        if not np.maximum.reduce(features) < _OVERFLOW_SAFE:
+            return False
+        return bool(np.maximum.reduce(np.abs(model.weights) @ features) < _OVERFLOW_SAFE)
+
+
 def train(
     model: LinearSoftmaxModel,
     train_set: LabeledDataset,
@@ -269,7 +301,7 @@ def train(
             p = _forward(model, val_x, val_logits)[1]
             vce = float(_label_ce(p, val_set.labels).mean())
             vacc = float((p.argmax(axis=1) == val_set.labels).mean())
-        elif has_val:
+        elif has_val and not _logits_bounded(model, val_reach):
             logits = _linear(model.transform(val_x), model.weights, val_logits)
             if not np.isfinite(logits).all():
                 raise NonFiniteError("logits must be finite")
@@ -287,26 +319,33 @@ def train(
     ce0, h0 = _label_ce(p0, train_set.labels), entropy_batch(p0)
     val_x = _checked_batch(model, val_set.features) if has_val else None
     val_logits = np.empty((val_set.size, model.class_count)) if has_val else None
+    # max |x| per raw column, the input side of every divergence-only record's bound
+    val_reach = np.maximum.reduce(np.abs(val_x), axis=0) if has_val else None
     records = [record(0, float(ce0.mean()), float(h0.mean()), config.lr.value(0, config.epochs))]
 
-    n = train_set.size
+    n, size = train_set.size, config.batch_size
+    batch_rows = np.arange(min(n, size))
     for epoch in range(config.epochs):
         lr = config.lr.value(epoch, config.epochs)
         perm = derive_rng(config.seed, SHUFFLE, epoch).permutation(n)
+        # one gather per epoch: each batch is a contiguous slice of the shuffled set
+        x_epoch, y_epoch = train_set.features[perm], train_set.labels[perm]
         ce_sum = 0.0
         h_sum = 0.0
-        for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            rows = perm[start : start + config.batch_size]
-            x_raw = train_set.features[rows]
-            y = train_set.labels[rows]
+        for batch_idx, start in enumerate(range(0, n, size)):
+            x_raw = x_epoch[start : start + size]
+            y = y_epoch[start : start + size]
+            m = y.shape[0]
             try:
                 phi, p = _forward(model, x_raw)
             except NonFiniteError as err:
                 raise diverged("parameters", epoch + 1, batch_idx, err) from err
             terms = _log_entropies(p)
-            # the batch means are these sums over m, as np.mean takes them
-            batch_ce, batch_h, m = float(_label_ce(p, y).sum()), float(terms[1].sum()), len(rows)
-            if not np.isfinite(batch_ce / m - gamma * (batch_h / m)):
+            # the batch means are these sums over m, as np.mean takes them; the
+            # label entries of ln max(p, PROB_FLOOR) are what _label_ce negates
+            batch_ce = float(np.add.reduce(-terms[0][batch_rows[:m], y]))
+            batch_h = float(np.add.reduce(terms[1]))
+            if not math.isfinite(batch_ce / m - gamma * (batch_h / m)):
                 raise diverged("loss", epoch + 1, batch_idx)
             ce_sum += batch_ce
             h_sum += batch_h
@@ -315,9 +354,15 @@ def train(
             else:
                 g = logit_gradient(p, y, gamma, terms=terms)
             grad_w, grad_a = _param_grads(model, x_raw, phi, g, train_a)
+            # without decay the sum grad + 0 * param is grad: a finite parameter
+            # moves by the same bits either way
             if train_a:
-                model.feature_map -= lr * (grad_a + decay * model.feature_map)
-            model.weights -= lr * (grad_w + decay * model.weights)
+                if decay:
+                    grad_a += decay * model.feature_map
+                model.feature_map -= lr * grad_a
+            if decay:
+                grad_w += decay * model.weights
+            model.weights -= lr * grad_w
         # the epoch's last update may have overflowed: without a validation
         # set no forward pass would see it before the model is returned
         if not np.isfinite(model.weights).all() or (

@@ -1,5 +1,6 @@
 """CLI surface, artifact sessions, manifests, and the report merge."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -330,7 +331,7 @@ class TestFailedRerun:
 
     def _assert_previous_run_intact(self, out):
         load_manifest(out / "manifest.json", verify=True)
-        assert not list(out.glob(".staging-*"))
+        assert not list(out.glob(".staging-*")) and not list(out.glob(".previous-*"))
 
     def test_directory_in_place_of_an_artifact(self, tmp_path, capsys):
         out = tmp_path / "r"
@@ -354,6 +355,69 @@ class TestFailedRerun:
         assert self._train(out, "1,2") == 1
         assert capsys.readouterr().err.startswith("error: ")
         self._assert_previous_run_intact(out)
+
+    def _configs(self, tmp_path):
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text(QUICK)
+        second.write_text(QUICK.replace("epochs = 5", "epochs = 6"))
+        return first, second
+
+    def _rerun(self, tmp_path, monkeypatch, fail_at=()):
+        """Train into a directory, then rerun it with other epochs and one more seed.
+
+        The rerun replaces every name of the first run and adds two, so its
+        publish makes 12 renames: five old files aside, then seven new ones
+        in. Each rename whose number is in ``fail_at`` raises. Returns the
+        directory, the rerun's exit code, its renames and the first run's files.
+        """
+        out = tmp_path / "r"
+        first, second = self._configs(tmp_path)
+        assert main(["train", "--config", str(first), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        replace, renames = os.replace, []
+
+        def counting_replace(src, dst):
+            renames.append(dst)
+            if len(renames) in fail_at:
+                raise OSError(5, "Input/output error")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        code = main(["train", "--config", str(second), "--seeds", "1,2", "--out", str(out)])
+        monkeypatch.undo()
+        return out, code, renames, before
+
+    def test_rerun_publish_renames(self, tmp_path, monkeypatch):
+        out, code, renames, _ = self._rerun(tmp_path, monkeypatch)
+        assert code == 0 and len(renames) == 12
+        man = load_manifest(out / "manifest.json", verify=True)
+        assert len(man.artifacts) == 6 and "epochs = 6" in man.config_text
+        assert not list(out.glob(".staging-*")) and not list(out.glob(".previous-*"))
+
+    @pytest.mark.parametrize("fail_at", range(1, 13))
+    def test_rename_failing_mid_publish(self, tmp_path, capsys, monkeypatch, fail_at):
+        # a rename failing after some new artifacts are in place must take them
+        # back: the old manifest would otherwise list files it no longer matches
+        out, code, renames, before = self._rerun(tmp_path, monkeypatch, (fail_at,))
+        assert code == 1 and len(renames) >= fail_at
+        assert capsys.readouterr().err.startswith("error: cannot publish the run")
+        self._assert_previous_run_intact(out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_rollback_keeps_the_old_files(self, tmp_path, capsys, monkeypatch):
+        # rename 8 (the third new file in) fails, then rename 9, the first
+        # old file going back: the files not put back must survive the abort
+        out, code, renames, before = self._rerun(tmp_path, monkeypatch, (8, 9))
+        assert code == 1 and len(renames) == 8 + 5  # then the five old files back
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot publish the run") and "could not roll back" in err
+        assert not list(out.glob(".staging-*"))
+        [kept] = out.glob(".previous-*")
+        assert str(kept) in err
+        old = {p.name: p.read_bytes() for p in kept.iterdir()}
+        assert len(old) == 1 and old.items() <= before.items()
+        left = {p.name: p.read_bytes() for p in out.iterdir() if p != kept}
+        assert {**left, **old} == before
 
 
 class TestReport:

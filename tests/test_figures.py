@@ -296,3 +296,38 @@ def test_arms_outside_the_pipelines_skip_val_metrics(monkeypatch):
     for figure in ("fine", "ce_vs_val"):
         figures.run_arm(mixture, cfg, figure, 1, gamma=0.5)
     assert seen == [False, True]
+
+
+@pytest.mark.parametrize("kind", ["noise_sweep", "data_fraction_sweep", "lsr_compare"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_arms_sharing_datasets_equal_arms_sampling_their_own(
+    small_cfg, tmp_path, monkeypatch, kind, threads
+):
+    # the grid samples each seed's datasets once and every arm at that seed
+    # reads them; an arm must train exactly as if it had sampled them itself
+    import maxentlab.figures as figures
+
+    run_arm, make_datasets, shared, sampled = figures.run_arm, figures.make_datasets, [], []
+
+    def spying_run_arm(mixture, cfg, *args, **kwargs):
+        result = run_arm(mixture, cfg, *args, **kwargs)
+        shared.append((mixture, cfg, args, kwargs, result))
+        return result
+
+    def spying_make_datasets(mixture, cfg, seed):
+        sampled.append(seed)
+        return make_datasets(mixture, cfg, seed)
+
+    monkeypatch.setattr(figures, "run_arm", spying_run_arm)
+    monkeypatch.setattr(figures, "make_datasets", spying_make_datasets)
+    run_figure(small_cfg, kind, tmp_path / kind, [1, 2], threads)
+    assert sorted(sampled) == [1, 2]
+    assert len(shared) == 2 * len(figures.PIPELINES[kind][0](small_cfg))
+    for mixture, cfg, args, kwargs, result in shared:
+        alone = run_arm(mixture, cfg, *args, **kwargs)
+        assert result.model.weights.tobytes() == alone.model.weights.tobytes()
+        assert result.history.records == alone.history.records
+        assert result.summary_row() == alone.summary_row()
+        histogram = alone.val_report.top_prob_histogram
+        assert result.val_report.top_prob_histogram.tolist() == histogram.tolist()
+    assert len(sampled) == 2 + len(shared)  # each arm alone sampled its own

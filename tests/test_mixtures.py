@@ -236,6 +236,25 @@ class TestDatasetCsv:
         assert lines[0] == "label,f0,f1"
         assert lines[1] == "3,1.5,-2.0"
 
+    def test_same_text_as_one_scalar_per_value(self, rng):
+        # the export formats Python floats from tolist, a block of rows at a
+        # time; each value must read as repr(float(numpy scalar)) did
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308]
+        values = np.concatenate([rng.normal(size=2_500 * 3 - len(special)) * 1e3, special])
+        ds = LabeledDataset(values.reshape(2_500, 3), rng.integers(0, 12, 2_500))
+
+        def one_scalar_per_value(dataset):
+            lines = ["label," + ",".join(f"f{j}" for j in range(dataset.dim))]
+            for i in range(dataset.size):
+                feats = ",".join(repr(float(v)) for v in dataset.features[i])
+                lines.append(f"{int(dataset.labels[i])},{feats}")
+            return lines
+
+        text = "\n".join(dataset_csv_lines(ds)).encode()
+        assert text == "\n".join(one_scalar_per_value(ds)).encode()
+        empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        assert dataset_csv_lines(empty) == ["label,f0,f1"]
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             LabeledDataset(np.zeros((3, 2)), np.zeros(4, dtype=int))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from maxentlab._streams import SHUFFLE, derive_rng
-from maxentlab.core import LinearSoftmaxModel, maxent_gradient, predict_proba
+from maxentlab.core import PROB_FLOOR, LinearSoftmaxModel, _linear, maxent_gradient, predict_proba
 from maxentlab.datasets import LabeledDataset
 from maxentlab.errors import (
     DivergenceError,
@@ -18,6 +18,7 @@ from maxentlab.errors import (
 )
 from maxentlab.mixtures import GaussianMixture, sample
 from maxentlab.training import (
+    EpochRecord,
     LrSchedule,
     TrainConfig,
     evaluate,
@@ -402,3 +403,209 @@ class TestEvaluate:
         )
         assert rep.top_prob_mean == pytest.approx(np.mean([p.max() for p in probs]), rel=1e-12)
         assert rep.top_prob_histogram.sum() == 50
+
+
+# ---------------------------------------------------------------------------
+# The lean epoch: ``train`` gathers each epoch's rows once, skips the
+# divergence-only validation product when bounds prove it finite, and takes
+# fewer wrapper calls per step; none of that may move a bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_train(model, train_set, val_set, cfg, val_metrics):
+    """The SGD loop op for op, written plainly: per-batch fancy indexing, a
+    validation product at every record, plain norms. Returns (W, A, records)."""
+    w = model.weights.copy()
+    a = None if model.feature_map is None else model.feature_map.copy()
+    train_a = cfg.train_feature_map and a is not None
+    gamma = cfg.gamma if cfg.objective == "maxent" else 0.0
+    classes = w.shape[0]
+
+    def features(x):
+        return x if a is None else x @ a.T
+
+    def softmax(z):
+        if not np.isfinite(z).all():
+            raise NonFiniteError("logits must be finite")
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def log_entropies(p):
+        log_p = np.log(np.maximum(p, PROB_FLOOR))
+        return log_p, np.clip(-(p * log_p).sum(axis=1), 0.0, float(np.log(classes)))
+
+    def label_ce(p, y):
+        return -np.log(np.maximum(p[np.arange(y.shape[0]), y], PROB_FLOOR))
+
+    def record(epoch, train_ce, train_h, lr):
+        vce = vacc = None
+        if val_set is not None:
+            logits = features(val_set.features) @ w.T
+            if val_metrics:
+                p = softmax(logits)
+                vce = float(label_ce(p, val_set.labels).mean())
+                vacc = float((p.argmax(axis=1) == val_set.labels).mean())
+            elif not np.isfinite(logits).all():
+                raise NonFiniteError("logits must be finite")
+        w_l2 = float(np.linalg.norm(w))
+        w_inf = float(np.sqrt((w**2).sum(axis=1).max()))
+        return EpochRecord(epoch, train_ce, train_h, vce, vacc, w_l2, w_inf, lr)
+
+    p0 = softmax(features(train_set.features) @ w.T)
+    ce0, h0 = label_ce(p0, train_set.labels), log_entropies(p0)[1]
+    records = [record(0, float(ce0.mean()), float(h0.mean()), cfg.lr.value(0, cfg.epochs))]
+    n = train_set.size
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr.value(epoch, cfg.epochs)
+        perm = derive_rng(cfg.seed, SHUFFLE, epoch).permutation(n)
+        ce_sum = h_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            rows = perm[start : start + cfg.batch_size]
+            x, y = train_set.features[rows], train_set.labels[rows]
+            phi = features(x)
+            p = softmax(phi @ w.T)
+            log_p, h = log_entropies(p)
+            ce_sum += float(label_ce(p, y).sum())
+            h_sum += float(h.sum())
+            if cfg.objective == "lsr":
+                onehot = np.zeros_like(p)
+                onehot[np.arange(y.shape[0]), y] = 1.0
+                g = p - ((1.0 - cfg.lsr_epsilon) * onehot + cfg.lsr_epsilon / classes)
+            else:
+                g = p.copy()
+                g[np.arange(y.shape[0]), y] -= 1.0
+                if gamma != 0.0:
+                    g += gamma * p * (log_p + h[:, None])
+            scale = 1.0 / rows.shape[0]
+            grad_w = scale * (g.T @ phi)
+            if train_a:
+                grad_a = scale * ((g @ w).T @ x)
+                a = a - lr * (grad_a + cfg.weight_decay * a)
+            w = w - lr * (grad_w + cfg.weight_decay * w)
+        records.append(record(epoch + 1, ce_sum / n, h_sum / n, lr))
+    return w, a, records
+
+
+def record_bits(records):
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+        for r in records
+    ]
+
+
+def three_class_sets():
+    mix = GaussianMixture.from_components(
+        [
+            (0.3, [1.0, 0.0, 0.5], np.eye(3)),
+            (0.3, [-1.0, 0.5, 0.0], np.eye(3)),
+            (0.4, [0.0, -1.0, -0.5], np.eye(3)),
+        ]
+    )
+    return sample(mix, 70, seed=4), sample(mix, 150, seed=5)
+
+
+def count_validation_products(monkeypatch, rows):
+    """Count the ``_linear`` calls of ``train`` over ``rows`` inputs: the validation products."""
+    import maxentlab.training as training
+
+    calls = []
+
+    def counting_linear(x, w, *args, **kwargs):
+        if x.shape[0] == rows:
+            calls.append(x.shape)
+        return _linear(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_linear", counting_linear)
+    return calls
+
+
+class TestLeanEpoch:
+    @pytest.mark.parametrize("val_metrics", [True, False])
+    @pytest.mark.parametrize("feature_map", ["none", "trained", "frozen"])
+    @pytest.mark.parametrize("objective", ["maxent", "ce", "lsr"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_train_equals_a_plain_sgd_loop(self, objective, feature_map, val_metrics, weight_decay):
+        ds, val = three_class_sets()
+        # a frozen map is rectangular, so the model has one without training it
+        n = 2 if feature_map == "frozen" else 3
+        model = init_model(3, n, 3, 0.3, seed=6, with_feature_map=feature_map == "trained")
+        cfg = quick_cfg(
+            objective=objective,
+            gamma=0.7,
+            lsr_epsilon=0.2,
+            lr=LrSchedule("linear", 0.4),
+            weight_decay=weight_decay,
+            epochs=4,
+            batch_size=16,  # 70 rows: four full batches and one of 6
+            train_feature_map=feature_map == "trained",
+        )
+        trained, history = train(model, ds, val, cfg, val_metrics=val_metrics)
+        w, a, records = reference_train(model, ds, val, cfg, val_metrics)
+        assert trained.weights.tobytes() == w.tobytes()
+        if feature_map == "none":
+            assert trained.feature_map is None and a is None
+        else:
+            assert trained.feature_map.tobytes() == a.tobytes()
+        assert record_bits(history.records) == record_bits(records)
+        assert all((r.val_ce is not None) is val_metrics for r in history.records)
+
+    def test_bounded_logits_skip_the_validation_product(self, monkeypatch):
+        ds, val = three_class_sets()
+        calls = count_validation_products(monkeypatch, val.size)
+        cfg = quick_cfg(gamma=1.0, epochs=3)
+        _, history = train(init_model(3, 3, 3, 0.3, seed=6), ds, val, cfg, val_metrics=False)
+        assert calls == []
+        w, _, records = reference_train(init_model(3, 3, 3, 0.3, seed=6), ds, val, cfg, False)
+        assert record_bits(history.records) == record_bits(records)
+
+    @pytest.mark.parametrize("train_feature_map", [False, True])
+    def test_bound_above_the_threshold_falls_through_to_the_product(
+        self, monkeypatch, train_feature_map
+    ):
+        # validation inputs up to 1e300 put the feature bound at the threshold,
+        # while the logits of the trained model stay far below the float maximum
+        ds, val = three_class_sets()
+        val = LabeledDataset(val.features * (1e300 / np.abs(val.features).max()), val.labels)
+        model = init_model(3, 3, 3, 0.3, seed=6, with_feature_map=train_feature_map)
+        cfg = quick_cfg(gamma=1.0, epochs=3, train_feature_map=train_feature_map)
+        calls = count_validation_products(monkeypatch, val.size)
+        _, history = train(model, ds, val, cfg, val_metrics=False)
+        # every record takes the validation logits
+        assert len(calls) == len(history.records)
+        _, _, records = reference_train(model, ds, val, cfg, False)
+        assert record_bits(history.records) == record_bits(records)
+
+    @pytest.mark.parametrize("val_metrics", [True, False])
+    def test_features_overflowing_under_tiny_weights_diverge(self, val_metrics):
+        # zero training inputs leave both gradients zero, so each step only
+        # scales the parameters by 1 - lr * weight_decay, about -1e100: the
+        # map reaches 1e100 and the weights 1e-150 after epoch 1. Validation
+        # inputs of 1e250 then overflow the features, though the weights
+        # times any finite feature stay tiny.
+        ds = LabeledDataset(np.zeros((10, 2)), np.arange(10) % 2)
+        val = LabeledDataset(np.full((6, 2), 1e250), np.arange(6) % 2)
+        model = LinearSoftmaxModel(np.full((2, 2), 1e-250), np.eye(2))
+        cfg = quick_cfg(
+            epochs=3, lr=LrSchedule("constant", 1e100), weight_decay=1.0, train_feature_map=True
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            train(model, ds, val, cfg, val_metrics=val_metrics)
+        assert (err.value.epoch, err.value.batch) == (1, 0)
+        assert str(err.value) == "non-finite parameters at epoch 1, batch 0: logits must be finite"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as ref:
+            reference_train(model, ds, val, cfg, val_metrics)
+        assert str(ref.value) == "logits must be finite"
+
+    def test_a_huge_map_under_tiny_weights_is_not_bounded(self):
+        # the features may reach 1e305 while the logits stay near 1e5: the
+        # feature bound alone sends the record to the product
+        from maxentlab.training import _logits_bounded
+
+        reach = np.array([1.0, 1.0])
+        model = LinearSoftmaxModel(np.full((2, 2), 1e-300), np.full((2, 2), 1e305))
+        assert not _logits_bounded(model, reach)
+        small_map = LinearSoftmaxModel(np.full((2, 2), 1e-300), np.full((2, 2), 1e299))
+        assert _logits_bounded(small_map, reach)
+        big_input = np.array([1e299, 0.0])
+        assert _logits_bounded(LinearSoftmaxModel(np.full((2, 2), 1e-5)), big_input)
+        assert not _logits_bounded(LinearSoftmaxModel(np.full((2, 2), 10.0)), big_input)
