@@ -3,15 +3,32 @@
 Every random draw in the package comes from a numpy PCG64 generator built
 here. A stream is addressed by a 64-bit base seed plus integer context tags
 (a stream id, then indices such as an epoch or trial number), fed to
-SeedSequence as an entropy list. Distinct tag tuples give statistically
-independent streams, and the same tuple always reproduces the same draws;
-that is what makes datasets, training runs and verification trials
-reproducible down to the byte. Gaussian variates are produced by
-Generator.standard_normal (ziggurat); nothing touches numpy's legacy
-global RNG.
+SeedSequence as an entropy list, and the same address always reproduces the
+same draws; that is what makes datasets, training runs and verification
+trials reproducible down to the byte. Gaussian variates are produced by
+Generator.standard_normal (ziggurat); nothing touches numpy's legacy global
+RNG.
 
-Because every task (a training arm, a verification trial) draws only from its
-own derived stream, tasks can run in any order on any number of threads:
+Distinct addresses do not always give distinct streams, because
+SeedSequence sees only the list of 32-bit words they spell:
+
+- it pads its four-word pool with zeros, so trailing zero tags vanish
+  while the address is at most four words long:
+  ``derive_rng(1, 5) == derive_rng(1, 5, 0) == derive_rng(1, 5, 0, 0)``;
+- a seed or tag of 2**32 or more spells two words, low word first, so
+  ``derive_rng(1, 2**32) == derive_rng(1, 0, 1)``.
+
+``derive_rng`` stays as it is, since changing it would move every artifact.
+The package keeps its addresses apart by their layout instead: each is the
+seed, then a stream id, then that stream's indices, so no two addresses in
+use spell the same words while seeds stay below 2**32. A new address should
+take tags below 2**32 and end in a non-zero tag (an index plus one, say), so
+that it cannot alias a shorter address.
+
+Every task draws only from streams addressed by what it computes (a
+training seed, a verification trial, a verification job), and a task that
+shares a job's stream with others (a share of the job's trials) replays it
+from its start. So tasks can run in any order on any number of threads:
 ``_parallel`` is the package's one thread pool, and the thread count never
 changes output.
 """
@@ -31,12 +48,13 @@ ENTROPY_MC = 5   # Monte-Carlo entropy estimates
 FIXTURE = 6      # synthetic regime construction
 TRIAL = 7        # bound-verification trials
 # 8 is reserved: it once addressed randomized property tests
+REFERENCE = 9    # a verification job's shared Monte-Carlo reference normals
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def derive_rng(seed: int, *context: int) -> np.random.Generator:
-    """Return the generator addressed by (seed, *context)."""
+    """Return the generator addressed by (seed, *context); see the module docstring for aliases."""
     entropy = [int(seed) & _MASK64]
     for tag in context:
         if not isinstance(tag, (int, np.integer)):

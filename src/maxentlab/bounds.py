@@ -30,11 +30,26 @@ Monte-Carlo verification draws (model, dataset) trials. Every observed
 quantity is a mean prediction entropy, which depends on an input x only
 through its logits V x (V = W A), and the logits of the feature mixture are
 themselves an exact Gaussian mixture in R^C (means V mu_c, covariances
-V Sigma_c V'). Both the expected entropy (``expected_entropy_mc``) and the
-N-sample empirical entropy of a trial are therefore sampled in logit space,
-never as feature vectors. The mixture is validated on entry to
-``verify_bound``, not again for each trial's dataset, and each trial draws
-from its own derived stream, so the rows do not depend on the thread count.
+V Sigma_c V'). Both the expected (reference) entropy and the N-sample
+empirical entropy of a trial are therefore sampled in logit space, never as
+feature vectors. The mixture is validated on entry to ``verify_bound``, not
+again for each trial's dataset.
+
+Each trial draws its model, and its N-sample empirical entropy, from its
+own derived stream. The reference entropies of the ``weight_norm`` and
+``entropy_deviation`` checks use common random numbers instead: one
+(seed, kind, N) job draws one set of component counts and standard normals
+from a stream of its own, and every trial maps those same normals through
+its own logit mixture. Each trial's estimate thus keeps the law and the
+standard error of an estimate from fresh draws; only the errors of
+different trials are correlated. For ``weight_norm`` that changes nothing a
+trial asserts: the check is a per-trial inequality whose observed side is
+widened by ``GUARD_SIGMAS`` of that trial's own standard error. For
+``entropy_deviation`` the trials' violations are no longer independent, so
+a job's violation rate spreads more around its mean than independent
+trials would make it; its expectation is unchanged. The trials are run in
+contiguous shares, one per thread, and each share replays the job's
+stream, so the rows do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -45,8 +60,13 @@ from typing import Callable
 
 import numpy as np
 
-from ._streams import TRIAL, _parallel, derive_rng
-from .core import LinearSoftmaxModel, _logit_entropies, expected_entropy_mc
+from ._streams import REFERENCE, TRIAL, _parallel, derive_rng
+from .core import (
+    MIN_MC_DRAWS,
+    LinearSoftmaxModel,
+    _sample_entropies,
+    _shared_expected_entropies,
+)
 from .diversity import analytic_diversity
 from .errors import DomainError
 from .mixtures import GaussianMixture, fourth_moment_and_variance
@@ -202,6 +222,15 @@ VERIFY_CSV_HEADER = "trial,theorem,observed,bound,margin,violated"
 BOUNDS_SUMMARY_CSV_HEADER = "kind,sample_count,trials,violations,rate,delta,worst_margin,inapplicable"
 
 
+def _reference_stream(seed: int, kind: str, sample_count: int) -> np.random.Generator:
+    """The stream of a (seed, kind, N) job's shared reference normals.
+
+    Its tags are all at least 1, so the address ends in no zero tag and
+    aliases no shorter one (see ``_streams``).
+    """
+    return derive_rng(seed, REFERENCE, BOUND_KINDS.index(kind) + 1, sample_count)
+
+
 def verify_bound(
     kind: str,
     mixture: GaussianMixture,
@@ -220,12 +249,18 @@ def verify_bound(
                             widened by ``GUARD_SIGMAS`` standard errors, so
                             the violation rate must be 0.
     entropy_deviation:      probabilistic; rate must stay <= delta. The
-                            expected entropy is re-estimated per trial and
-                            compared with the mean entropy of
+                            expected entropy is estimated for each trial's
+                            model and compared with the mean entropy of
                             ``sample_count`` fresh draws.
     empirical_weight_norm:  probabilistic; rate must stay <= delta. Trials
                             where the denominator is not positive are counted
                             as inapplicable, never as violations.
+
+    The expected entropies of one call share their ``entropy_draws`` normals
+    (see the module docstring): each trial's estimate and standard error
+    have the law of a fresh-draw estimate, but the errors of different trials
+    are correlated. ``threads`` splits the trials into contiguous shares,
+    each of which replays the shared draws, so the rows do not depend on it.
 
     Margins within floating-point round-off of zero (1e-12 relative to the
     bound) count as satisfied: the zero-classifier edge meets every bound
@@ -237,18 +272,24 @@ def verify_bound(
         raise DomainError(f"trials must be >= {MIN_TRIALS}, got {trials}")
     if sample_count < 1:
         raise DomainError(f"sample_count must be >= 1, got {sample_count}")
+    if kind != "empirical_weight_norm" and entropy_draws < MIN_MC_DRAWS:
+        raise DomainError(f"draws must be >= {MIN_MC_DRAWS}, got {entropy_draws}")
     # analytic_diversity validates the mixture; trials sample it unchecked
     report = analytic_diversity(mixture)
     nu = report.nu
     _, var_sqnorm = fourth_moment_and_variance(mixture)
 
-    def run_trial(trial: int) -> TrialRow | None:
+    def draw(trial: int) -> tuple[LinearSoftmaxModel, float | None]:
+        """The trial's model and, unless the kind needs none, its N-draw empirical mean entropy."""
         rng = derive_rng(seed, TRIAL, trial)
         model = model_sampler(trial, rng)
         if kind == "weight_norm":
-            est, se = expected_entropy_mc(
-                model, mixture, entropy_draws, int(rng.integers(0, 2**63 - 1))
-            )
+            return model, None
+        return model, float(_sample_entropies(model, mixture, sample_count, rng).mean())
+
+    def trial_row(trial, model, emp, reference) -> TrialRow | None:
+        if kind == "weight_norm":
+            est, se = reference
             bound = weight_norm_lower_bound(
                 model.class_count, min(est, math.log(model.class_count)), nu
             )
@@ -256,15 +297,11 @@ def verify_bound(
             guard = GUARD_SIGMAS * se / (2.0 * math.sqrt(nu))
             margin = observed + guard - bound
         elif kind == "entropy_deviation":
-            emp = float(_logit_entropies(model, mixture, sample_count, rng).mean())
-            est, _ = expected_entropy_mc(
-                model, mixture, entropy_draws, int(rng.integers(0, 2**63 - 1))
-            )
+            est, _ = reference
             observed = abs(emp - est)
             bound = entropy_deviation_bound(model.w_l2(), nu, var_sqnorm, sample_count, delta)
             margin = bound - observed
         else:  # empirical_weight_norm
-            emp = float(_logit_entropies(model, mixture, sample_count, rng).mean())
             try:
                 bound = empirical_weight_norm_lower_bound(
                     model.class_count,
@@ -283,7 +320,30 @@ def verify_bound(
             bool(margin < -_margin_tol(bound)),
         )
 
-    outcomes = _parallel([lambda t=t: run_trial(t) for t in range(trials)], threads)
+    def run_share(share: range) -> list[TrialRow | None]:
+        drawn = [draw(trial) for trial in share]
+        references = [None] * len(drawn)
+        if kind != "empirical_weight_norm":
+            references = _shared_expected_entropies(
+                [model for model, _ in drawn],
+                mixture,
+                entropy_draws,
+                _reference_stream(seed, kind, sample_count),
+            )
+        return [
+            trial_row(trial, model, emp, reference)
+            for trial, (model, emp), reference in zip(share, drawn, references)
+        ]
+
+    # contiguous shares, one task each; a trial's row does not depend on the
+    # other trials of its share, so it does not depend on the thread count
+    parts = max(1, min(threads, trials))
+    shares = [range(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]
+    outcomes = [
+        outcome
+        for share_outcomes in _parallel([lambda s=s: run_share(s) for s in shares], threads)
+        for outcome in share_outcomes
+    ]
 
     rows = [r for r in outcomes if r is not None]
     inapplicable = sum(1 for r in outcomes if r is None)

@@ -3,7 +3,7 @@
 Subcommands: synth, train, figure KIND, bounds verify, report. Output goes
 to --out, else the config's out_dir, else $MAXENTLAB_OUT/<command>.
 --threads (at least 1) runs the trials of each bound in bounds verify, and
-the arms of train and figure, on that many threads; synth ignores it. The
+the seeds of train and figure, on that many threads; synth ignores it. The
 artifacts are the same bytes for any thread count. Every command exits 0
 on success and 1 on any error, with an "error: ..." line, leaving its output
 directory as it was, including any previous run there.
@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seeds", default=None, help="comma-separated seed override")
-        p.add_argument("--threads", type=int, default=1, help="parallel arms or bound trials")
+        p.add_argument("--threads", type=int, default=1, help="parallel seeds or bound trials")
 
     common(sub.add_parser("synth", help="sample and export synthetic datasets"))
     common(sub.add_parser("train", help="train one model per seed"))

@@ -37,13 +37,14 @@ the calling thread, instead of waking a second BLAS thread that mostly
 busy-waits. Every output is still the same dot product, so the bits do not
 move either (shapes for which OpenBLAS would round a split differently stay
 whole). Threads are therefore the callers' to spend, for instance on
-parallel training arms or bound trials.
+parallel training seeds or shares of bound trials.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,13 +259,61 @@ def expected_entropy_mc(
     if draws < MIN_MC_DRAWS:
         raise DomainError(f"draws must be >= {MIN_MC_DRAWS}, got {draws}")
     validate(mixture)
-    h = _logit_entropies(model, mixture, draws, derive_rng(seed, ENTROPY_MC))
-    # the mean of a sample lies in its hull; clamping removes summation round-off
-    # so a constant integrand is estimated exactly with zero standard error
+    h = _sample_entropies(model, mixture, draws, derive_rng(seed, ENTROPY_MC))
     low, high = float(h.min()), float(h.max())
-    estimate = float(min(max(h.mean(), low), high))
-    std = 0.0 if low == high else float(h.std(ddof=1))
-    return estimate, std / float(np.sqrt(draws))
+    return _clamped_estimate(h.mean(), low, high, float(h.std(ddof=1)), draws)
+
+
+def _shared_expected_entropies(
+    models: list[LinearSoftmaxModel],
+    mixture: GaussianMixture,
+    draws: int,
+    rng: np.random.Generator,
+) -> list[tuple[float, float]]:
+    """``expected_entropy_mc``'s (estimate, standard error) for each model, from one set of draws.
+
+    Every model maps the same component counts and standard normals of ``rng``
+    (common random numbers), so each estimate has the law and standard error
+    of an estimate from fresh draws, but the errors of different models are
+    correlated. The mixture must be validated. No model's entropies are held:
+    each block is reduced at once into the model's count, mean and sum of
+    squared deviations (combined across blocks as Chan et al. do), minimum
+    and maximum.
+    """
+    stats = [[0, 0.0, 0.0, math.inf, -math.inf] for _ in models]
+
+    def reduce(k: int, _start: int, h: np.ndarray) -> None:
+        acc = stats[k]
+        acc[3] = min(acc[3], float(np.minimum.reduce(h)))
+        acc[4] = max(acc[4], float(np.maximum.reduce(h)))
+        size = h.shape[0]
+        mean = float(np.add.reduce(h)) / size
+        h -= mean
+        m2 = float(np.add.reduce(h * h))
+        total = acc[0] + size
+        delta = mean - acc[1]
+        acc[1] += delta * (size / total)
+        acc[2] += m2 + delta * delta * (acc[0] * (size / total))
+        acc[0] = total
+
+    _logit_entropies(models, mixture, draws, rng, reduce)
+    return [
+        _clamped_estimate(mean, low, high, math.sqrt(m2 / (draws - 1)), draws)
+        for _, mean, m2, low, high in stats
+    ]
+
+
+def _clamped_estimate(
+    mean: float, low: float, high: float, std: float, draws: int
+) -> tuple[float, float]:
+    """(estimate, standard error) of a sample from its mean, range and standard deviation.
+
+    The mean of a sample lies in its range; clamping removes summation
+    round-off, so a constant integrand (low == high) is estimated exactly,
+    with zero standard error.
+    """
+    se = 0.0 if low == high else std / math.sqrt(draws)
+    return float(min(max(mean, low), high)), se
 
 
 # Most draws per logit block: a block's temporaries are (C, _BLOCK) arrays, so
@@ -272,17 +321,39 @@ def expected_entropy_mc(
 _BLOCK = 16384
 
 
-def _logit_entropies(
+def _sample_entropies(
     model: LinearSoftmaxModel, mixture: GaussianMixture, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Prediction entropies of ``count`` i.i.d. draws from a validated mixture.
+    """Entropies of ``count`` i.i.d. draws from a validated mixture, grouped by component."""
+    h = np.empty(count, dtype=np.float64)
 
-    The mixture is pushed forward through V = W A, component counts come from
-    one multinomial draw, and each component's draws are made in blocks: a
-    (k, m) block of standard normals, k = min(C, n), mapped through the top-k
-    spectral factor of V Sigma_c V' (whose rank is at most k) and shifted by
-    V mu_c gives m logit columns, reduced to entropies at once. Entropies come
-    back grouped by component, which leaves their mean and spread unchanged.
+    def fill(_: int, start: int, block: np.ndarray) -> None:
+        h[start : start + block.shape[0]] = block
+
+    _logit_entropies([model], mixture, count, rng, fill)
+    return h
+
+
+def _logit_entropies(
+    models: list[LinearSoftmaxModel],
+    mixture: GaussianMixture,
+    count: int,
+    rng: np.random.Generator,
+    sink: Callable[[int, int, np.ndarray], None],
+) -> None:
+    """Prediction entropies of ``count`` i.i.d. draws from a validated mixture, for every model.
+
+    Each model's mixture is pushed forward through its V = W A, component
+    counts come from one multinomial draw, and each component's draws are
+    made in blocks: a (k, m) block of standard normals, k = min(C, n), mapped
+    through the model's top-k spectral factor of V Sigma_c V' (whose rank is
+    at most k) and shifted by V mu_c gives m logit columns, reduced to
+    entropies at once. All models map the same counts and blocks, so their
+    V must share one shape. ``sink(k, start, h)`` receives model k's
+    entropies of draws start, start + 1, ... of a block, in draw order,
+    grouped by component, which leaves their mean and spread unchanged; ``h``
+    is the sink's to keep or modify. A model's entropies depend only on the
+    model and the stream, never on the other models.
 
     Each block's product is written in column slices (``_linear``): one
     (10 x 10) @ (10 x 16,384) product is large enough for OpenBLAS to split
@@ -292,6 +363,36 @@ def _logit_entropies(
     rank-term dot product in any slice, so the entropies are the same bits as
     with one product per block.
     """
+    pushed = [_logit_mixture(model, mixture) for model in models]
+    shapes = {factors.shape for _, factors in pushed}
+    if len(shapes) > 1:
+        raise ShapeError(f"models that share draws need one logit shape, got {sorted(shapes)}")
+    classes, rank = pushed[0][1].shape[1:]
+    counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
+    # flat buffers shared by every block: a block of m columns views the first
+    # rows * m entries, so each view is C-contiguous, as ``standard_normal``
+    # needs of its ``out``
+    width = min(_BLOCK, int(counts.max()))
+    normals = np.empty(rank * width)
+    logits, exps = np.empty(classes * width), np.empty(classes * width)
+    start = 0
+    for component, total in enumerate(counts):
+        for offset in range(0, total, _BLOCK):
+            size = min(_BLOCK, total - offset)
+            z = rng.standard_normal(out=normals[: rank * size].reshape(rank, size))
+            out = logits[: classes * size].reshape(classes, size)
+            e = exps[: classes * size].reshape(classes, size)
+            for k, (means, factors) in enumerate(pushed):
+                block = _linear(z, factors[component], out, columns=True)
+                block += means[component][:, None]
+                sink(k, start, _column_entropies(block, e))
+            start += size
+
+
+def _logit_mixture(
+    model: LinearSoftmaxModel, mixture: GaussianMixture
+) -> tuple[np.ndarray, np.ndarray]:
+    """(means V mu_c, top-min(C, n) spectral factors of V Sigma_c V') of the model's logits."""
     v = model.weights if model.feature_map is None else model.weights @ model.feature_map
     if v.shape[1] != mixture.dim:
         raise ShapeError(f"mixture dim {mixture.dim} does not match model input {v.shape[1]}")
@@ -299,28 +400,7 @@ def _logit_entropies(
         pushed = _pushforward(mixture, v)
     if not (np.isfinite(pushed.means).all() and np.isfinite(pushed.covariances).all()):
         raise NonFiniteError("the mixture's logit means or covariances overflow under the weights")
-    rank = min(v.shape)
-    factors = spectral_factor(pushed.covariances)[:, :, -rank:]
-    counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
-    h = np.empty(count, dtype=np.float64)
-    # flat buffers shared by every block: a block of m columns views the first
-    # rows * m entries, so each view is C-contiguous, as ``standard_normal``
-    # needs of its ``out``
-    classes = v.shape[0]
-    width = min(_BLOCK, int(counts.max()))
-    normals = np.empty(rank * width)
-    logits, exps = np.empty(classes * width), np.empty(classes * width)
-    start = 0
-    for mean, factor, total in zip(pushed.means, factors, counts):
-        for offset in range(0, total, _BLOCK):
-            size = min(_BLOCK, total - offset)
-            z = rng.standard_normal(out=normals[: rank * size].reshape(rank, size))
-            block = _linear(z, factor, logits[: classes * size].reshape(classes, size), columns=True)
-            block += mean[:, None]
-            e = exps[: classes * size].reshape(classes, size)
-            h[start : start + size] = _column_entropies(block, e)
-            start += size
-    return h
+    return pushed.means, spectral_factor(pushed.covariances)[:, :, -min(v.shape) :]
 
 
 # Most multiply-adds (inputs x outputs x inner dimension) in one product that

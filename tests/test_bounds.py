@@ -7,21 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxentlab._streams import TRIAL, derive_rng
 from maxentlab.bounds import (
     BOUND_KINDS,
+    _reference_stream,
     empirical_weight_norm_lower_bound,
     entropy_deviation_bound,
     uniform_model_sampler,
     verify_bound,
     weight_norm_lower_bound,
 )
-from maxentlab.core import LinearSoftmaxModel
+from maxentlab.core import LinearSoftmaxModel, _sample_entropies, _shared_expected_entropies
+from maxentlab.diversity import analytic_diversity
 from maxentlab.errors import DomainError
 from maxentlab.mixtures import GaussianMixture, recenter_zero_mean
 
 
 def unit_mixture(n=2):
     return GaussianMixture(np.array([1.0]), np.zeros((1, n)), np.eye(n)[None])
+
+
+def two_component_mixture():
+    return recenter_zero_mean(
+        GaussianMixture(
+            np.array([0.3, 0.7]), np.array([[1.0, 0.0], [-0.3, 0.5]]), np.stack([np.eye(2)] * 2)
+        )
+    )
 
 
 class TestWeightNormLowerBound:
@@ -161,11 +172,7 @@ class TestVerifyBound:
     )
     @settings(max_examples=6, deadline=None)
     def test_rows_do_not_depend_on_threads(self, kind, sample_count, seed):
-        mix = recenter_zero_mean(
-            GaussianMixture(
-                np.array([0.3, 0.7]), np.array([[1.0, 0.0], [-0.3, 0.5]]), np.stack([np.eye(2)] * 2)
-            )
-        )
+        mix = two_component_mixture()
         runs = [
             verify_bound(
                 kind, mix, uniform_model_sampler(3, 2), sample_count, 0.1, trials=100,
@@ -176,3 +183,63 @@ class TestVerifyBound:
         one, two = ([vars(r) for r in run.rows] for run in runs)
         assert one == two
         assert runs[0].inapplicable_count == runs[1].inapplicable_count
+
+    @pytest.mark.parametrize("kind", ["weight_norm", "entropy_deviation"])
+    def test_shares_of_one_two_and_three_give_the_same_rows(self, kind):
+        # 100 trials make shares of 100; 50 and 50; 33, 33 and 34
+        runs = [
+            verify_bound(
+                kind, two_component_mixture(), uniform_model_sampler(3, 2), 50, 0.1, trials=100,
+                seed=9, entropy_draws=300, threads=threads,
+            )
+            for threads in (1, 2, 3)
+        ]
+        rows = [[vars(r) for r in run.rows] for run in runs]
+        assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize("kind", ["weight_norm", "entropy_deviation"])
+    def test_trial_rows_come_from_the_job_normals(self, kind):
+        mix, sampler = two_component_mixture(), uniform_model_sampler(3, 2)
+        n, draws, seed = 40, 500, 4
+        summary = verify_bound(
+            kind, mix, sampler, n, 0.1, trials=100, seed=seed, entropy_draws=draws
+        )
+        nu = analytic_diversity(mix).nu
+        for row in summary.rows[:5] + summary.rows[-5:]:
+            rng = derive_rng(seed, TRIAL, row.trial)
+            model = sampler(row.trial, rng)
+            # the reference of one trial alone on the job's stream
+            [(est, se)] = _shared_expected_entropies(
+                [model], mix, draws, _reference_stream(seed, kind, n)
+            )
+            if kind == "weight_norm":
+                assert row.bound == weight_norm_lower_bound(3, min(est, math.log(3)), nu)
+                assert row.margin == row.observed + 3.0 * se / (2.0 * math.sqrt(nu)) - row.bound
+            else:
+                # the empirical mean still comes next in the trial's own stream
+                emp = float(_sample_entropies(model, mix, n, rng).mean())
+                assert row.observed == abs(emp - est)
+
+
+class TestReferenceStreams:
+    def test_trailing_zero_tags_and_wide_tags_alias(self):
+        # SeedSequence pads its four-word pool with zeros and splits a 64-bit tag
+        # into two 32-bit words, so these addresses spell the same stream
+        def normals(*address):
+            return derive_rng(*address).standard_normal(4).tolist()
+
+        assert normals(1, 5) == normals(1, 5, 0) == normals(1, 5, 0, 0)
+        assert normals(1, 2**32) == normals(1, 0, 1)
+
+    def test_distinct_jobs_draw_distinct_normals(self):
+        jobs = [
+            (seed, kind, n)
+            for seed in (1, 2)
+            for kind in ("weight_norm", "entropy_deviation")
+            for n in (1, 100, 1000, 10_000)
+        ]
+        draws = {tuple(_reference_stream(*job).standard_normal(4)) for job in jobs}
+        assert len(draws) == len(jobs)
+        # nor does a job share its normals with a trial's stream
+        trials = [derive_rng(seed, TRIAL, t) for seed in (1, 2) for t in range(100)]
+        assert not draws & {tuple(rng.standard_normal(4)) for rng in trials}

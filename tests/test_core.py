@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxentlab._streams import ENTROPY_MC, derive_rng
+from maxentlab.bounds import uniform_model_sampler
 from maxentlab.core import (
     _BLOCK,
     _COLUMN_SLICE_MAX,
@@ -19,7 +20,8 @@ from maxentlab.core import (
     _forward,
     _linear,
     _log_entropies,
-    _logit_entropies,
+    _sample_entropies,
+    _shared_expected_entropies,
     entropy,
     entropy_batch,
     expected_entropy_mc,
@@ -33,7 +35,7 @@ from maxentlab.core import (
 )
 from maxentlab.datasets import LabeledDataset
 from maxentlab.errors import DomainError, NonFiniteError, ShapeError
-from maxentlab.fixtures import make_regime_fixtures
+from maxentlab.fixtures import make_regime_fixtures, make_spectrum_fixture
 from maxentlab.mixtures import GaussianMixture, _pushforward, sample, spectral_factor
 
 from conftest import random_mixture
@@ -72,14 +74,13 @@ def reference_logit_gradient(p, labels, gamma):
     return g
 
 
-def reference_logit_entropies(model, mixture, count, rng):
+def reference_logit_blocks(model, mixture, count, rng):
+    """Each block's entropies, in draw order."""
     v = model.weights if model.feature_map is None else model.weights @ model.feature_map
     pushed = _pushforward(mixture, v)
     rank = min(v.shape)
     factors = spectral_factor(pushed.covariances)[:, :, -rank:]
     counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
-    h = np.empty(count, dtype=np.float64)
-    start = 0
     for mean, factor, total in zip(pushed.means, factors, counts):
         for offset in range(0, total, _BLOCK):
             size = min(_BLOCK, total - offset)
@@ -89,9 +90,28 @@ def reference_logit_entropies(model, mixture, count, rng):
             e = np.exp(logits)
             norm = e.sum(axis=0)
             block = np.log(norm) - (e * logits).sum(axis=0) / norm
-            h[start : start + size] = np.clip(block, 0.0, float(np.log(logits.shape[0])))
-            start += size
-    return h
+            yield np.clip(block, 0.0, float(np.log(logits.shape[0])))
+
+
+def reference_logit_entropies(model, mixture, count, rng):
+    return np.concatenate(list(reference_logit_blocks(model, mixture, count, rng)))
+
+
+def reference_shared_estimate(model, mixture, draws, rng):
+    """(estimate, standard error) over the blocks, each folded in as Chan et al. combine moments."""
+    n, mean, m2, low, high = 0, 0.0, 0.0, math.inf, -math.inf
+    for h in reference_logit_blocks(model, mixture, draws, rng):
+        low, high = min(low, float(h.min())), max(high, float(h.max()))
+        block_mean = float(h.sum()) / h.size
+        block_m2 = float(((h - block_mean) ** 2).sum())
+        total = n + h.size
+        delta = block_mean - mean
+        mean += delta * (h.size / total)
+        m2 += block_m2 + delta * delta * (n * (h.size / total))
+        n = total
+    assert n == draws
+    std = 0.0 if low == high else math.sqrt(m2 / (draws - 1))
+    return min(max(mean, low), high), std / math.sqrt(draws)
 
 
 def same_bits(a, b):
@@ -303,7 +323,7 @@ class TestExpectedEntropyMc:
         # on random weights of the same shapes, the buffered kernel equals the
         # fresh-array block loop bit for bit
         model = LinearSoftmaxModel(rng.normal(size=(C, n)), fm)
-        h = _logit_entropies(model, mix, draws, derive_rng(seed, ENTROPY_MC))
+        h = _sample_entropies(model, mix, draws, derive_rng(seed, ENTROPY_MC))
         ref = reference_logit_entropies(model, mix, draws, derive_rng(seed, ENTROPY_MC))
         assert same_bits(h, ref)
 
@@ -330,6 +350,108 @@ class TestExpectedEntropyMc:
         ref_se = float(h.std(ddof=1)) / math.sqrt(data.size)
         assert se > 0.0 and ref_se > 0.0
         assert abs(est - ref) <= 4.0 * math.hypot(se, ref_se)
+
+
+class TestSharedExpectedEntropies:
+    """One stream of normals shared by the reference estimates of several models."""
+
+    @staticmethod
+    def models(mix, count, seed, classes=10):
+        rng = np.random.default_rng(seed)
+        draw = uniform_model_sampler(classes, mix.dim)
+        return [draw(k, rng) for k in range(count)]
+
+    @pytest.mark.parametrize(
+        "case, draws",
+        [
+            ("fine_fixture", 100_000),
+            ("classes_exceed_dim", 40_000),  # two components, each over several blocks
+            ("feature_map", 5_000),
+        ],
+    )
+    def test_each_estimate_is_the_reference_on_the_same_normals(self, case, draws):
+        rng = np.random.default_rng(12)
+        if case == "fine_fixture":
+            mix = make_regime_fixtures(7)[0]
+            models = self.models(mix, 4, seed=1)
+        elif case == "classes_exceed_dim":
+            mix = random_mixture(rng, n=3, m=2)
+            models = self.models(mix, 3, seed=2, classes=8)
+        else:
+            mix = make_regime_fixtures(7)[1]
+            models = [
+                LinearSoftmaxModel(rng.normal(size=(10, 6)), rng.normal(scale=0.5, size=(6, 16)))
+                for _ in range(3)
+            ]
+
+        def stream():
+            return derive_rng(3, ENTROPY_MC)
+
+        estimates = _shared_expected_entropies(models, mix, draws, stream())
+        for model, (est, se) in zip(models, estimates):
+            # a trial's estimate is the test's own block loop on the same stream
+            assert (est, se) == reference_shared_estimate(model, mix, draws, stream())
+            # and the blockwise moments are those of the whole sample
+            h = reference_logit_entropies(model, mix, draws, stream())
+            assert est == pytest.approx(float(h.mean()), rel=1e-12, abs=1e-15)
+            assert se == pytest.approx(float(h.std(ddof=1)) / math.sqrt(draws), rel=1e-9)
+
+    @given(
+        C=st.integers(2, 12),
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        draws=st.integers(100, 40_000),
+        seed=st.integers(0, 2**32),
+    )
+    @example(C=10, n=16, m=1, draws=_BLOCK + 1, seed=1)  # a one-column last block
+    @example(C=10, n=2, m=2, draws=40_000, seed=2)  # C > n, several blocks a component
+    @settings(max_examples=15, deadline=None)
+    def test_zero_weights_give_log_c_exactly(self, C, n, m, draws, seed):
+        rng = np.random.default_rng(seed)
+        mix = random_mixture(rng, n, m)
+        zero = LinearSoftmaxModel(np.zeros((C, n)))
+        models = [zero, LinearSoftmaxModel(rng.normal(size=(C, n))), zero]
+        estimates = _shared_expected_entropies(models, mix, draws, derive_rng(seed, ENTROPY_MC))
+        assert estimates[0] == estimates[2] == (math.log(C), 0.0)
+        assert estimates[1][1] > 0.0
+
+    def test_estimates_do_not_depend_on_the_other_models(self):
+        mix = make_regime_fixtures(7)[0]
+        models = self.models(mix, 7, seed=3)
+        whole = _shared_expected_entropies(models, mix, 20_000, derive_rng(4, ENTROPY_MC))
+        for parts in (1, 2, 3, 7):
+            edges = [len(models) * i // parts for i in range(parts + 1)]
+            shares = [
+                _shared_expected_entropies(models[lo:hi], mix, 20_000, derive_rng(4, ENTROPY_MC))
+                for lo, hi in zip(edges, edges[1:])
+            ]
+            assert [e for share in shares for e in share] == whole
+
+    @pytest.mark.parametrize("fixture", ["fine", "large", "spectrum"])
+    def test_agrees_with_fresh_draws(self, fixture):
+        if fixture == "spectrum":
+            mix = make_spectrum_fixture(7)
+        else:
+            mix = make_regime_fixtures(7)[fixture == "large"]
+        # one model at each of the bound pipelines' weight scales 0.1, 1 and 10
+        models = self.models(mix, 3, seed=5)
+        estimates = _shared_expected_entropies(models, mix, 100_000, derive_rng(5, ENTROPY_MC))
+        for k, (model, (est, se)) in enumerate(zip(models, estimates)):
+            ref, ref_se = expected_entropy_mc(model, mix, 10**6, seed=100 + k)
+            assert se > 0.0 and ref_se > 0.0
+            assert abs(est - ref) <= 4.0 * math.hypot(se, ref_se)
+
+    def test_models_must_share_a_shape(self):
+        mix = std_normal_mixture()
+        models = [LinearSoftmaxModel(np.ones((4, 3))), LinearSoftmaxModel(np.ones((5, 3)))]
+        with pytest.raises(ShapeError, match="one logit shape"):
+            _shared_expected_entropies(models, mix, 500, derive_rng(0, ENTROPY_MC))
+
+    def test_overflowing_logit_moments_are_reported(self):
+        mix = std_normal_mixture()
+        models = [uniform_model(), LinearSoftmaxModel(np.full((4, 3), 1e300))]
+        with pytest.raises(NonFiniteError, match="overflow"):
+            _shared_expected_entropies(models, mix, 500, derive_rng(0, ENTROPY_MC))
 
 
 class TestBlockProduct:
