@@ -26,11 +26,11 @@ take tags below 2**32 and end in a non-zero tag (an index plus one, say), so
 that it cannot alias a shorter address.
 
 Every task draws only from streams addressed by what it computes (a
-training seed, a verification trial, a verification job), and a task that
-shares a job's stream with others (a share of the job's trials) replays it
-from its start. So tasks can run in any order on any number of threads:
-``_parallel`` is the package's one thread pool, and the thread count never
-changes output.
+training seed, a verification trial, a verification run's seed), and a task
+that shares a run's stream with others (a share of the run's trials)
+replays it from its start. So tasks can run in any order on any number of
+threads: ``_parallel`` is the package's one thread pool, and the thread
+count never changes output.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ ENTROPY_MC = 5   # Monte-Carlo entropy estimates
 FIXTURE = 6      # synthetic regime construction
 TRIAL = 7        # bound-verification trials
 # 8 is reserved: it once addressed randomized property tests
-REFERENCE = 9    # a verification job's shared Monte-Carlo reference normals
+REFERENCE = 9    # a verification run's shared Monte-Carlo reference normals, one per seed
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 

@@ -32,24 +32,30 @@ through its logits V x (V = W A), and the logits of the feature mixture are
 themselves an exact Gaussian mixture in R^C (means V mu_c, covariances
 V Sigma_c V'). Both the expected (reference) entropy and the N-sample
 empirical entropy of a trial are therefore sampled in logit space, never as
-feature vectors. The mixture is validated on entry to ``verify_bound``, not
+feature vectors. The mixture is validated on entry to ``verify_bounds``, not
 again for each trial's dataset.
 
-Each trial draws its model, and its N-sample empirical entropy, from its
-own derived stream. The reference entropies of the ``weight_norm`` and
-``entropy_deviation`` checks use common random numbers instead: one
-(seed, kind, N) job draws one set of component counts and standard normals
-from a stream of its own, and every trial maps those same normals through
-its own logit mixture. Each trial's estimate thus keeps the law and the
-standard error of an estimate from fresh draws; only the errors of
-different trials are correlated. For ``weight_norm`` that changes nothing a
-trial asserts: the check is a per-trial inequality whose observed side is
-widened by ``GUARD_SIGMAS`` of that trial's own standard error. For
+``verify_bounds`` runs every (kind, N) job of a run in one pass over the
+trials, and ``verify_bound`` is its one-job case. Trial t draws its model
+from its own derived stream, whatever the job, and each N-draw empirical
+mean entropy continues that stream right after the model draw, so every job
+at the same N reads the same empirical mean. The reference entropies of the
+``weight_norm`` and ``entropy_deviation`` checks use common random numbers:
+one set of component counts and standard normals per run (per seed), from a
+stream of its own, which every trial maps through its own logit mixture.
+A trial's reference depends on neither the kind nor N, so it is estimated
+once and serves every job of the run; a job's rows are therefore the same
+whatever other jobs run beside it. Each trial's estimate keeps the law and
+the standard error of an estimate from fresh draws; only the errors of
+different trials are correlated, and through the shared reference so are a
+trial's checks of different kinds and N. For ``weight_norm`` that changes
+nothing a trial asserts: the check is a per-trial inequality whose observed
+side is widened by ``GUARD_SIGMAS`` of that trial's own standard error. For
 ``entropy_deviation`` the trials' violations are no longer independent, so
 a job's violation rate spreads more around its mean than independent
 trials would make it; its expectation is unchanged. The trials are run in
-contiguous shares, one per thread, and each share replays the job's
-stream, so the rows do not depend on the thread count.
+contiguous shares, one per thread, and each share replays the run's
+reference stream, so the rows do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -222,13 +228,13 @@ VERIFY_CSV_HEADER = "trial,theorem,observed,bound,margin,violated"
 BOUNDS_SUMMARY_CSV_HEADER = "kind,sample_count,trials,violations,rate,delta,worst_margin,inapplicable"
 
 
-def _reference_stream(seed: int, kind: str, sample_count: int) -> np.random.Generator:
-    """The stream of a (seed, kind, N) job's shared reference normals.
+def _reference_stream(seed: int) -> np.random.Generator:
+    """The stream of a run's shared reference normals: one per seed, for every job.
 
     Its tags are all at least 1, so the address ends in no zero tag and
     aliases no shorter one (see ``_streams``).
     """
-    return derive_rng(seed, REFERENCE, BOUND_KINDS.index(kind) + 1, sample_count)
+    return derive_rng(seed, REFERENCE)
 
 
 def verify_bound(
@@ -256,38 +262,73 @@ def verify_bound(
                             where the denominator is not positive are counted
                             as inapplicable, never as violations.
 
-    The expected entropies of one call share their ``entropy_draws`` normals
-    (see the module docstring): each trial's estimate and standard error
-    have the law of a fresh-draw estimate, but the errors of different trials
-    are correlated. ``threads`` splits the trials into contiguous shares,
-    each of which replays the shared draws, so the rows do not depend on it.
+    This is the one-job case of ``verify_bounds``, and its rows are that
+    job's rows in any run: the expected entropies share the run's
+    ``entropy_draws`` normals, which depend only on ``seed`` (see the module
+    docstring). Each trial's estimate and standard error have the law of a
+    fresh-draw estimate, but the errors of different trials, and a trial's
+    checks of different kinds and N, are correlated through them.
+    ``threads`` splits the trials into contiguous shares, each of which
+    replays the shared draws, so the rows do not depend on it.
 
     Margins within floating-point round-off of zero (1e-12 relative to the
     bound) count as satisfied: the zero-classifier edge meets every bound
     with exact equality.
     """
-    if kind not in BOUND_KINDS:
-        raise DomainError(f"unknown bound kind {kind!r}")
+    return verify_bounds(
+        [(kind, sample_count)], mixture, model_sampler, delta, trials, seed, entropy_draws, threads
+    )[0]
+
+
+def verify_bounds(
+    jobs: list[tuple[str, int]],
+    mixture: GaussianMixture,
+    model_sampler: ModelSampler,
+    delta: float,
+    trials: int,
+    seed: int,
+    entropy_draws: int = 100_000,
+    threads: int = 1,
+) -> list[VerificationSummary]:
+    """``verify_bound`` for each (kind, N) job, in order, from one pass over the trials.
+
+    Each trial draws its model once, its N-draw empirical mean entropy once
+    for each distinct N that an ``entropy_deviation`` or
+    ``empirical_weight_norm`` job needs, and, if any job needs one, its
+    reference entropy once. Every job's rows are closed-form arithmetic on
+    these values, and ``verify_bounds(jobs)[j]`` equals
+    ``verify_bound(*jobs[j])`` bit for bit.
+    """
+    for kind, _ in jobs:
+        if kind not in BOUND_KINDS:
+            raise DomainError(f"unknown bound kind {kind!r}")
     if trials < MIN_TRIALS:
         raise DomainError(f"trials must be >= {MIN_TRIALS}, got {trials}")
-    if sample_count < 1:
-        raise DomainError(f"sample_count must be >= 1, got {sample_count}")
-    if kind != "empirical_weight_norm" and entropy_draws < MIN_MC_DRAWS:
+    for _, sample_count in jobs:
+        if sample_count < 1:
+            raise DomainError(f"sample_count must be >= 1, got {sample_count}")
+    referenced = any(kind != "empirical_weight_norm" for kind, _ in jobs)
+    if referenced and entropy_draws < MIN_MC_DRAWS:
         raise DomainError(f"draws must be >= {MIN_MC_DRAWS}, got {entropy_draws}")
     # analytic_diversity validates the mixture; trials sample it unchecked
     report = analytic_diversity(mixture)
     nu = report.nu
     _, var_sqnorm = fourth_moment_and_variance(mixture)
+    empirical_counts = sorted({n for kind, n in jobs if kind != "weight_norm"})
 
-    def draw(trial: int) -> tuple[LinearSoftmaxModel, float | None]:
-        """The trial's model and, unless the kind needs none, its N-draw empirical mean entropy."""
+    def draw(trial: int) -> tuple[LinearSoftmaxModel, dict[int, float]]:
+        """The trial's model and its N-draw empirical mean entropy at each ``empirical_counts`` N."""
         rng = derive_rng(seed, TRIAL, trial)
         model = model_sampler(trial, rng)
-        if kind == "weight_norm":
-            return model, None
-        return model, float(_sample_entropies(model, mixture, sample_count, rng).mean())
+        after_model = rng.bit_generator.state
+        means = {}
+        for n in empirical_counts:
+            # every N continues the trial's stream from right after the model draw
+            rng.bit_generator.state = after_model
+            means[n] = float(_sample_entropies(model, mixture, n, rng).mean())
+        return model, means
 
-    def trial_row(trial, model, emp, reference) -> TrialRow | None:
+    def trial_row(kind, sample_count, trial, model, emp, reference) -> TrialRow | None:
         if kind == "weight_norm":
             est, se = reference
             bound = weight_norm_lower_bound(
@@ -320,51 +361,56 @@ def verify_bound(
             bool(margin < -_margin_tol(bound)),
         )
 
-    def run_share(share: range) -> list[TrialRow | None]:
+    def run_share(share: range) -> list[list[TrialRow | None]]:
+        """Each job's outcomes for the trials of ``share``."""
         drawn = [draw(trial) for trial in share]
         references = [None] * len(drawn)
-        if kind != "empirical_weight_norm":
+        if referenced:
             references = _shared_expected_entropies(
-                [model for model, _ in drawn],
-                mixture,
-                entropy_draws,
-                _reference_stream(seed, kind, sample_count),
+                [model for model, _ in drawn], mixture, entropy_draws, _reference_stream(seed)
             )
         return [
-            trial_row(trial, model, emp, reference)
-            for trial, (model, emp), reference in zip(share, drawn, references)
+            [
+                trial_row(kind, n, trial, model, means.get(n), reference)
+                for trial, (model, means), reference in zip(share, drawn, references)
+            ]
+            for kind, n in jobs
         ]
+
+    def summary(
+        kind: str, sample_count: int, outcomes: list[TrialRow | None]
+    ) -> VerificationSummary:
+        """One job's summary of its trials' outcomes (None for an inapplicable trial)."""
+        rows = [r for r in outcomes if r is not None]
+        inapplicable = len(outcomes) - len(rows)
+        violations = sum(r.violated for r in rows)
+        worst = min((r.margin for r in rows), default=math.inf)
+
+        effective = len(rows)
+        extras = {}
+        if kind == "empirical_weight_norm":
+            extras["asymptotic_denominator"] = _asymptotic_denominator(nu, sample_count, delta)
+            extras["exact_denominator"] = _empirical_denominator(nu, var_sqnorm, sample_count, delta)
+        return VerificationSummary(
+            kind=kind,
+            trials=trials,
+            sample_count=sample_count,
+            delta=delta,
+            violation_count=violations,
+            violation_rate=violations / effective if effective else 0.0,
+            worst_margin=worst,
+            inapplicable_count=inapplicable,
+            rows=rows,
+            extras=extras,
+        )
 
     # contiguous shares, one task each; a trial's row does not depend on the
     # other trials of its share, so it does not depend on the thread count
     parts = max(1, min(threads, trials))
     shares = [range(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]
-    outcomes = [
-        outcome
-        for share_outcomes in _parallel([lambda s=s: run_share(s) for s in shares], threads)
-        for outcome in share_outcomes
+    by_share = _parallel([lambda s=s: run_share(s) for s in shares], threads)
+    return [
+        summary(kind, n, [o for share in by_share for o in share[j]])
+        for j, (kind, n) in enumerate(jobs)
     ]
-
-    rows = [r for r in outcomes if r is not None]
-    inapplicable = sum(1 for r in outcomes if r is None)
-    violations = sum(r.violated for r in rows)
-    worst = min((r.margin for r in rows), default=math.inf)
-
-    effective = len(rows)
-    extras = {}
-    if kind == "empirical_weight_norm":
-        extras["asymptotic_denominator"] = _asymptotic_denominator(nu, sample_count, delta)
-        extras["exact_denominator"] = _empirical_denominator(nu, var_sqnorm, sample_count, delta)
-    return VerificationSummary(
-        kind=kind,
-        trials=trials,
-        sample_count=sample_count,
-        delta=delta,
-        violation_count=violations,
-        violation_rate=violations / effective if effective else 0.0,
-        worst_margin=worst,
-        inapplicable_count=inapplicable,
-        rows=rows,
-        extras=extras,
-    )
 

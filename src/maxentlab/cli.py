@@ -2,7 +2,9 @@
 
 Subcommands: synth, train, figure KIND, bounds verify, report. Output goes
 to --out, else the config's out_dir, else $MAXENTLAB_OUT/<command>.
---threads (at least 1) runs the trials of each bound in bounds verify, and
+--seeds overrides the config's seed list; bounds verify runs at the first
+seed only, so its artifacts for --seeds 1,2 are those of --seeds 1.
+--threads (at least 1) runs shares of the trials in bounds verify, and
 the seeds of train and figure, on that many threads; synth ignores it. The
 artifacts are the same bytes for any thread count. Every command exits 0
 on success and 1 on any error, with an "error: ..." line, leaving its output
@@ -30,7 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seeds", default=None, help="comma-separated seed override")
+        p.add_argument(
+            "--seeds",
+            default=None,
+            help="comma-separated seed override (bounds verify uses the first seed only)",
+        )
         p.add_argument("--threads", type=int, default=1, help="parallel seeds or bound trials")
 
     common(sub.add_parser("synth", help="sample and export synthetic datasets"))

@@ -33,7 +33,12 @@ import numpy as np
 
 from . import __version__
 from ._streams import _parallel
-from .bounds import BOUNDS_SUMMARY_CSV_HEADER, VERIFY_CSV_HEADER, uniform_model_sampler, verify_bound
+from .bounds import (
+    BOUNDS_SUMMARY_CSV_HEADER,
+    VERIFY_CSV_HEADER,
+    uniform_model_sampler,
+    verify_bounds,
+)
 from .checkpoint import save_checkpoint
 from .configio import ExperimentConfig, resolve_mixture, serialize_config, serialize_mixture
 from .csvio import csv_text, read_csv
@@ -457,28 +462,36 @@ def run_figure(cfg: ExperimentConfig, kind: str, out_dir: Path, seeds, threads: 
     return _run_grid(cfg, kind, f"figure {kind}", out_dir, seeds, threads)
 
 
+def _bound_jobs(cfg: ExperimentConfig) -> list[tuple[str, int]]:
+    """A bounds run's (kind, N) jobs in config order; weight_norm runs at the first N only."""
+    counts = cfg.bounds_sample_counts
+    return [
+        (kind, n)
+        for kind in cfg.bounds_kinds
+        for n in (counts[:1] if kind == "weight_norm" else counts)
+    ]
+
+
 def run_bounds_verify(cfg: ExperimentConfig, out_dir: Path, seeds, threads: int = 1) -> Path:
-    """Verify each bound kind at each sample count; ``threads`` runs the trials of one."""
+    """Verify each bound kind at each sample count at the first seed only.
+
+    All jobs share one pass over the trials (``verify_bounds``); ``threads``
+    runs its shares of trials.
+    """
     mixture = resolve_mixture(cfg)
     with _open_session(cfg, out_dir, "bounds verify") as session:
         session.write_text("mixture.txt", serialize_mixture(mixture))
         sampler = uniform_model_sampler(mixture.count, mixture.dim, cfg.bounds_scales)
-        counts = cfg.bounds_sample_counts
-        summaries = [
-            verify_bound(
-                kind,
-                mixture,
-                sampler,
-                sample_count=n,
-                delta=cfg.delta,
-                trials=cfg.bounds_trials,
-                seed=seeds[0],
-                entropy_draws=cfg.bounds_entropy_draws,
-                threads=threads,
-            )
-            for kind in cfg.bounds_kinds
-            for n in (counts[:1] if kind == "weight_norm" else counts)
-        ]
+        summaries = verify_bounds(
+            _bound_jobs(cfg),
+            mixture,
+            sampler,
+            delta=cfg.delta,
+            trials=cfg.bounds_trials,
+            seed=seeds[0],
+            entropy_draws=cfg.bounds_entropy_draws,
+            threads=threads,
+        )
         session.mark_stage("verify")
         verify_rows = [row.csv_row() for summary in summaries for row in summary.rows]
         session.write_text("verify.csv", csv_text(VERIFY_CSV_HEADER, verify_rows))

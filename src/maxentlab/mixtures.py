@@ -18,6 +18,9 @@ For a zero-mean mixture the overall covariance is
 Sampling factorizes each covariance through its symmetric eigendecomposition
 V diag(sqrt(max(lambda, 0))) so rank-deficient and exactly-zero covariances
 (point masses) are legal component models, which Cholesky would reject.
+Each component's normals go through its factor in row slices that OpenBLAS
+keeps on the calling thread (``_gemm._linear``), the same bits as one
+product.
 
 All operations are pure given (inputs, seed) and hold no shared mutable
 state, so they are safe to call concurrently on distinct inputs.
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._gemm import _linear
 from ._streams import SAMPLE, derive_rng
 from .datasets import LabeledDataset
 from .errors import CovarianceError, NotCenteredError, ShapeError, WeightError
@@ -150,7 +154,7 @@ def sample(mixture: GaussianMixture, count: int, seed: int) -> LabeledDataset:
         if idx.size == 0:
             continue
         factor = spectral_factor(mixture.covariances[c])
-        x[idx] = mixture.means[c] + z[idx] @ factor.T
+        x[idx] = mixture.means[c] + _linear(z[idx], factor)
     return LabeledDataset(x, labels.astype(np.int64))
 
 

@@ -39,7 +39,7 @@ Each batch takes one ln p, through ``core._log_entropies``, for its
 entropy, and ``core.logit_gradient`` reuses it; label-smoothing arms build
 only their own gradient. The validation set is checked once, before record
 0; the per-epoch records pass it straight to ``core._forward``, or only
-through the model's products (``core._linear``) when they check for
+through the model's products (``_gemm._linear``) when they check for
 divergence alone and the bounds do not settle it.
 """
 
@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._gemm import _linear
 from ._streams import INIT, NOISE, SHUFFLE, derive_rng
 from .core import (
     LinearSoftmaxModel,
@@ -57,7 +58,6 @@ from .core import (
     _checked_batch,
     _forward,
     _label_ce,
-    _linear,
     _log_entropies,
     _param_grads,
     entropy_batch,

@@ -1,6 +1,9 @@
 """Closed-form bound values, shape of their dependence, and MC verification."""
 
+import functools
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +18,17 @@ from maxentlab.bounds import (
     entropy_deviation_bound,
     uniform_model_sampler,
     verify_bound,
+    verify_bounds,
     weight_norm_lower_bound,
 )
+from maxentlab.configio import parse_config, resolve_mixture
 from maxentlab.core import LinearSoftmaxModel, _sample_entropies, _shared_expected_entropies
 from maxentlab.diversity import analytic_diversity
-from maxentlab.errors import DomainError
-from maxentlab.mixtures import GaussianMixture, recenter_zero_mean
+from maxentlab.errors import CovarianceError, DomainError
+from maxentlab.figures import _bound_jobs
+from maxentlab.mixtures import GaussianMixture, fourth_moment_and_variance, recenter_zero_mean
+
+QUICK_CFG = Path(__file__).resolve().parent.parent / "configs" / "quick.cfg"
 
 
 def unit_mixture(n=2):
@@ -208,10 +216,8 @@ class TestVerifyBound:
         for row in summary.rows[:5] + summary.rows[-5:]:
             rng = derive_rng(seed, TRIAL, row.trial)
             model = sampler(row.trial, rng)
-            # the reference of one trial alone on the job's stream
-            [(est, se)] = _shared_expected_entropies(
-                [model], mix, draws, _reference_stream(seed, kind, n)
-            )
+            # the reference of one trial alone on the run's stream
+            [(est, se)] = _shared_expected_entropies([model], mix, draws, _reference_stream(seed))
             if kind == "weight_norm":
                 assert row.bound == weight_norm_lower_bound(3, min(est, math.log(3)), nu)
                 assert row.margin == row.observed + 3.0 * se / (2.0 * math.sqrt(nu)) - row.bound
@@ -231,15 +237,131 @@ class TestReferenceStreams:
         assert normals(1, 5) == normals(1, 5, 0) == normals(1, 5, 0, 0)
         assert normals(1, 2**32) == normals(1, 0, 1)
 
-    def test_distinct_jobs_draw_distinct_normals(self):
-        jobs = [
-            (seed, kind, n)
-            for seed in (1, 2)
-            for kind in ("weight_norm", "entropy_deviation")
-            for n in (1, 100, 1000, 10_000)
-        ]
-        draws = {tuple(_reference_stream(*job).standard_normal(4)) for job in jobs}
-        assert len(draws) == len(jobs)
-        # nor does a job share its normals with a trial's stream
-        trials = [derive_rng(seed, TRIAL, t) for seed in (1, 2) for t in range(100)]
+    def test_distinct_seeds_draw_distinct_normals(self):
+        seeds = (0, 1, 2, 7, 2**32 - 1)
+        draws = {tuple(_reference_stream(seed).standard_normal(4)) for seed in seeds}
+        assert len(draws) == len(seeds)
+        # nor does a run share its normals with a trial's stream
+        trials = [derive_rng(seed, TRIAL, t) for seed in seeds for t in range(100)]
         assert not draws & {tuple(rng.standard_normal(4)) for rng in trials}
+
+
+@functools.cache
+def quick_bounds_setup():
+    """configs/quick.cfg's (kind, N) jobs, mixture, model sampler and [bounds] settings."""
+    cfg = parse_config(QUICK_CFG.read_text(), base_dir=QUICK_CFG.parent)
+    mixture = resolve_mixture(cfg)
+    sampler = uniform_model_sampler(mixture.count, mixture.dim, cfg.bounds_scales)
+    options = dict(
+        delta=cfg.delta, trials=cfg.bounds_trials, seed=cfg.seeds[0],
+        entropy_draws=cfg.bounds_entropy_draws,
+    )
+    return tuple(_bound_jobs(cfg)), mixture, sampler, options
+
+
+@functools.cache
+def quick_solo_run(kind, sample_count):
+    """``summary_bits`` of a quick.cfg job run alone, through ``verify_bound``."""
+    _, mixture, sampler, options = quick_bounds_setup()
+    return summary_bits(verify_bound(kind, mixture, sampler, sample_count, **options))
+
+
+def summary_bits(summary):
+    """The repr of a summary's rows, summary line, text and extras: equal reprs are equal bits."""
+    return repr(
+        ([vars(r) for r in summary.rows], summary.csv_row(), summary.text(), summary.extras)
+    )
+
+
+class TestVerifyBounds:
+    @given(
+        order=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+        threads=st.sampled_from((1, 2, 3)),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_each_job_equals_its_run_alone(self, order, threads):
+        jobs, mixture, sampler, options = quick_bounds_setup()
+        assert len(jobs) == 3
+        chosen = [jobs[i] for i in order]
+        summaries = verify_bounds(chosen, mixture, sampler, threads=threads, **options)
+        assert [(s.kind, s.sample_count) for s in summaries] == chosen
+        for job, summary in zip(chosen, summaries):
+            assert summary_bits(summary) == quick_solo_run(*job)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_empirical_means_continue_each_trial_stream_at_every_n(self, threads):
+        mix, sampler = two_component_mixture(), uniform_model_sampler(3, 2)
+        draws, seed, delta = 300, 5, 0.1
+        jobs = [
+            ("entropy_deviation", 40), ("empirical_weight_norm", 7), ("weight_norm", 40),
+            ("entropy_deviation", 7), ("empirical_weight_norm", 40),
+        ]
+        summaries = verify_bounds(
+            jobs, mix, sampler, delta, trials=100, seed=seed, entropy_draws=draws, threads=threads
+        )
+        nu = analytic_diversity(mix).nu
+        _, var_sqnorm = fourth_moment_and_variance(mix)
+        for (kind, n), summary in zip(jobs, summaries):
+            for row in summary.rows[:5] + summary.rows[-5:]:
+                # a fresh stream: model, then the N-draw empirical mean
+                rng = derive_rng(seed, TRIAL, row.trial)
+                model = sampler(row.trial, rng)
+                emp = float(_sample_entropies(model, mix, n, rng).mean())
+                if kind == "entropy_deviation":
+                    [(est, _)] = _shared_expected_entropies(
+                        [model], mix, draws, _reference_stream(seed)
+                    )
+                    assert row.observed == abs(emp - est)
+                elif kind == "empirical_weight_norm":
+                    assert row.bound == empirical_weight_norm_lower_bound(
+                        3, min(emp, math.log(3)), nu, var_sqnorm, n, delta
+                    )
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_model_sampler_runs_once_per_trial(self, threads):
+        sampler = uniform_model_sampler(3, 2)
+        calls = Counter()
+
+        def counting_sampler(trial, rng):
+            calls[trial] += 1
+            return sampler(trial, rng)
+
+        jobs = [(kind, n) for kind in BOUND_KINDS for n in (10, 30)]
+        summaries = verify_bounds(
+            jobs, two_component_mixture(), counting_sampler, 0.1, trials=100, seed=2,
+            entropy_draws=200, threads=threads,
+        )
+        assert len(summaries) == len(jobs)
+        assert calls == Counter(range(100))
+
+    @pytest.mark.parametrize(
+        "jobs, trials, draws, message",
+        [
+            ([("weight_norm", 10), ("nope", 10)], 100, 200, "unknown bound kind 'nope'"),
+            ([("empirical_weight_norm", 10), ("entropy_deviation", 0)], 100, 200,
+             "sample_count must be >= 1, got 0"),
+            ([("weight_norm", 10)], 99, 200, "trials must be >= 100, got 99"),
+            ([("empirical_weight_norm", 10), ("weight_norm", 10)], 100, 99,
+             "draws must be >= 100, got 99"),
+            ([("entropy_deviation", 10)], 100, 99, "draws must be >= 100, got 99"),
+        ],
+    )
+    def test_validation_errors(self, jobs, trials, draws, message):
+        with pytest.raises(DomainError, match=message):
+            verify_bounds(
+                jobs, unit_mixture(), uniform_model_sampler(3, 2), 0.1, trials, 0,
+                entropy_draws=draws,
+            )
+
+    def test_empirical_jobs_alone_take_no_reference_draws(self):
+        # no job needs a reference, so a draw count below the minimum is never used
+        summaries = verify_bounds(
+            [("empirical_weight_norm", 10), ("empirical_weight_norm", 20)], unit_mixture(),
+            uniform_model_sampler(3, 2), 0.1, 100, 0, entropy_draws=1,
+        )
+        assert [s.sample_count for s in summaries] == [10, 20]
+
+    def test_an_invalid_mixture_is_refused_on_entry(self):
+        bad = GaussianMixture(np.array([1.0]), np.zeros((1, 2)), -np.eye(2)[None])
+        with pytest.raises(CovarianceError):
+            verify_bounds([("weight_norm", 10)], bad, uniform_model_sampler(3, 2), 0.1, 100, 0)

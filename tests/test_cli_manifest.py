@@ -179,6 +179,23 @@ class TestCliCommands:
         assert (out / "train_seed4.csv").exists()
         assert not (out / "train_seed1.csv").exists()
 
+    def test_bounds_verify_runs_at_the_first_seed_only(self, tmp_path):
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text(QUICK + "[bounds]\ntrials = 100\nsample_counts = 10\nentropy_draws = 200\n")
+        outs = {}
+        for seeds in ("1,2", "1", "2,1", "2"):
+            out = outs[seeds] = tmp_path / seeds.replace(",", "_")
+            argv = ["bounds", "verify", "--config", str(cfg), "--out", str(out), "--seeds", seeds]
+            assert main(argv) == 0
+
+        def artifacts(seeds):
+            names = ("verify.csv", "bounds_summary.csv", "bounds_summary.txt")
+            return [(outs[seeds] / name).read_bytes() for name in names]
+
+        assert artifacts("1,2") == artifacts("1")
+        assert artifacts("2,1") == artifacts("2")
+        assert artifacts("1") != artifacts("2")
+
     def test_seed_override_with_an_empty_item_is_an_error(self, quick_cfg_path, tmp_path, capsys):
         # the config parser refuses "seeds = 1,,2"; the flag reads through the same codec
         out = tmp_path / "s"

@@ -8,17 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maxentlab._gemm import _COLUMN_SLICE_MAX, _GEMM_ONE_THREAD, _ROW_SLICE_MAX, _linear
 from maxentlab._streams import ENTROPY_MC, derive_rng
 from maxentlab.bounds import uniform_model_sampler
 from maxentlab.core import (
     _BLOCK,
-    _COLUMN_SLICE_MAX,
-    _GEMM_ONE_THREAD,
-    _ROW_SLICE_MAX,
     PROB_FLOOR,
     LinearSoftmaxModel,
     _forward,
-    _linear,
     _log_entropies,
     _sample_entropies,
     _shared_expected_entropies,

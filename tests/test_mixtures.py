@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from maxentlab._gemm import _GEMM_ONE_THREAD
+from maxentlab._streams import SAMPLE, derive_rng
 from maxentlab.datasets import LabeledDataset, dataset_csv_lines
 from maxentlab.errors import CovarianceError, NotCenteredError, ShapeError, WeightError
 from maxentlab.mixtures import (
@@ -13,6 +15,7 @@ from maxentlab.mixtures import (
     overall_covariance,
     recenter_zero_mean,
     sample,
+    spectral_factor,
     validate,
 )
 
@@ -127,6 +130,31 @@ class TestSample:
     def test_count_validation(self):
         with pytest.raises(ShapeError):
             sample(two_point_mixture(), 0, seed=1)
+
+    def test_component_products_fit_one_blas_thread_and_keep_their_bits(self, rng, monkeypatch):
+        # about 1,000 draws per component of 16 x 16: each whole product is
+        # over the one-thread size, so it goes in two row slices
+        mix = random_mixture(rng, 16, 10)
+        count, seed = 10_000, 3
+        calls = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, out=None):
+            calls.append(a.shape[0] * b.shape[0] * b.shape[1])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        x = sample(mix, count, seed).features
+        monkeypatch.undo()
+        assert len(calls) > mix.count and max(calls) <= _GEMM_ONE_THREAD
+        # the draws of the same stream through one whole product per component
+        stream = derive_rng(seed, SAMPLE)
+        labels = stream.choice(mix.count, size=count, p=mix.weights / mix.weights.sum())
+        z = stream.standard_normal((count, mix.dim))
+        for c in range(mix.count):
+            idx = np.nonzero(labels == c)[0]
+            whole = mix.means[c] + z[idx] @ spectral_factor(mix.covariances[c]).T
+            assert x[idx].tobytes() == whole.tobytes()
 
 
 class TestMoments:
