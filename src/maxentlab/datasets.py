@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,23 +60,33 @@ class LabeledDataset:
         return self.features.tobytes() + self.labels.tobytes() + self.noise_mask.tobytes()
 
 
-# Rows converted to Python numbers at a time by ``dataset_csv_lines``: enough to
-# amortise ``tolist``, few enough that the converted block stays far smaller
-# than the lines it becomes.
+# Rows converted to Python numbers, and formatted into one chunk of text, at a
+# time by ``dataset_csv_chunks``: enough to amortise ``tolist`` and the writes,
+# few enough that the text held at once stays small whatever the dataset size.
 _EXPORT_BLOCK = 1024
 
 
-def dataset_csv_lines(dataset: LabeledDataset) -> list[str]:
-    """Rows in the export format ``label,f0,f1,...,f{d-1}`` (header first).
+def dataset_csv_chunks(dataset: LabeledDataset) -> Iterator[str]:
+    """The export CSV ``label,f0,f1,...,f{d-1}`` as chunks of text, each ending in a newline.
+
+    The header line comes first, then one chunk per ``_EXPORT_BLOCK`` rows.
+    A chunk's Python numbers and lines are freed before it is yielded, so a
+    writer that takes the chunks in turn holds one chunk's text at a time.
+    """
+    yield "label," + ",".join(f"f{j}" for j in range(dataset.dim)) + "\n"
+    for lo in range(0, dataset.size, _EXPORT_BLOCK):
+        hi = lo + _EXPORT_BLOCK
+        yield _csv_rows(dataset.labels[lo:hi], dataset.features[lo:hi])
+
+
+def _csv_rows(labels: np.ndarray, features: np.ndarray) -> str:
+    """Rows ``label,f0,...`` with a newline after each.
 
     Features are written as ``repr`` of Python floats, the shortest string
-    that reads back to the same float64. ``tolist`` makes those floats a
-    block of rows at a time, instead of one numpy scalar per value.
+    that reads back to the same float64. ``tolist`` makes those floats for
+    the whole block at once, instead of one numpy scalar per value.
     """
-    header = "label," + ",".join(f"f{j}" for j in range(dataset.dim))
-    lines = [header]
-    for lo in range(0, dataset.size, _EXPORT_BLOCK):
-        labels = dataset.labels[lo : lo + _EXPORT_BLOCK].tolist()
-        rows = dataset.features[lo : lo + _EXPORT_BLOCK].tolist()
-        lines += [f"{label}," + ",".join(map(repr, row)) for label, row in zip(labels, rows)]
-    return lines
+    rows = zip(labels.tolist(), features.tolist())
+    lines = [f"{label}," + ",".join(map(repr, row)) for label, row in rows]
+    lines.append("")
+    return "\n".join(lines)

@@ -42,7 +42,7 @@ from .bounds import (
 from .checkpoint import save_checkpoint
 from .configio import ExperimentConfig, resolve_mixture, serialize_config, serialize_mixture
 from .csvio import csv_text, read_csv
-from .datasets import LabeledDataset, dataset_csv_lines
+from .datasets import LabeledDataset, dataset_csv_chunks
 from .diversity import (
     DiversityReport,
     empirical_diversity,
@@ -446,8 +446,8 @@ def run_synth(cfg: ExperimentConfig, out_dir: Path, seeds, threads: int = 1) -> 
         session.write_text("mixture.txt", serialize_mixture(mixture))
         for seed in seeds:
             tr, va = make_datasets(mixture, cfg, seed)
-            session.write_text(f"train_seed{seed}.csv", "\n".join(dataset_csv_lines(tr)) + "\n")
-            session.write_text(f"val_seed{seed}.csv", "\n".join(dataset_csv_lines(va)) + "\n")
+            session.write_text(f"train_seed{seed}.csv", dataset_csv_chunks(tr))
+            session.write_text(f"val_seed{seed}.csv", dataset_csv_chunks(va))
         session.mark_stage("synth")
         return session.finish()
 

@@ -13,6 +13,7 @@ import os
 import shutil
 import tempfile
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,11 +96,20 @@ class ArtifactSession:
         self.created.append(name)
         return self.staging / name
 
-    def write_text(self, name: str, text: str) -> Path:
+    def write_text(self, name: str, text: str | Iterable[str]) -> Path:
+        """Stage artifact ``name`` from ``text``, one string or an iterable of string chunks.
+
+        Chunks are written in order through one open file, so a caller that
+        yields them holds one chunk's text at a time; the file's bytes are
+        those of the chunks joined. An exception raised while they are
+        consumed propagates, and the session's abort removes the staged file.
+        """
         p = self.path(name)
+        chunks = (text,) if isinstance(text, str) else text
         try:
             with open(p, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                for chunk in chunks:
+                    fh.write(chunk)
         except OSError as err:
             raise IoError(f"cannot write {self.out_dir / name}: {err}") from err
         return p

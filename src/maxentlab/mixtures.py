@@ -139,7 +139,10 @@ def sample(mixture: GaussianMixture, count: int, seed: int) -> LabeledDataset:
     """Draw ``count`` i.i.d. points; the component index of each draw is its label.
 
     Draw order is fixed (component indices first, then one block of standard
-    normals), so identical (mixture, count, seed) gives identical bytes.
+    normals), so identical (mixture, count, seed) gives identical bytes. The
+    block of normals becomes the points in place: each component reads its
+    rows' normals (the fancy-indexed read copies them) before it writes their
+    points back, and no row belongs to two components.
     """
     validate(mixture)
     if count < 1:
@@ -147,14 +150,13 @@ def sample(mixture: GaussianMixture, count: int, seed: int) -> LabeledDataset:
     rng = derive_rng(seed, SAMPLE)
     m, n = mixture.count, mixture.dim
     labels = rng.choice(m, size=count, p=mixture.weights / mixture.weights.sum())
-    z = rng.standard_normal((count, n))
-    x = np.empty((count, n), dtype=np.float64)
+    x = rng.standard_normal((count, n))
     for c in range(m):
         idx = np.nonzero(labels == c)[0]
         if idx.size == 0:
             continue
         factor = spectral_factor(mixture.covariances[c])
-        x[idx] = mixture.means[c] + _linear(z[idx], factor)
+        x[idx] = mixture.means[c] + _linear(x[idx], factor)
     return LabeledDataset(x, labels.astype(np.int64))
 
 

@@ -144,6 +144,42 @@ class TestArtifactSession:
             load_manifest(manifest_path)
 
 
+    def test_chunks_write_the_bytes_of_their_join(self, tmp_path):
+        chunks = ["label,f0\n", "", "1,0.5\n2,-1e-300\n", "3,\u00e9\n"]
+        by_chunks = ArtifactSession(tmp_path / "chunks", "test", "", "0")
+        by_chunks.write_text("a.csv", iter(chunks))
+        joined = ArtifactSession(tmp_path / "joined", "test", "", "0")
+        joined.write_text("a.csv", "".join(chunks))
+        [left] = load_manifest(by_chunks.finish()).artifacts
+        [right] = load_manifest(joined.finish()).artifacts
+        assert left == right
+        assert (tmp_path / "chunks" / "a.csv").read_bytes() == "".join(chunks).encode("utf-8")
+
+    @pytest.mark.parametrize("previous_run", [False, True])
+    def test_chunks_raising_midway_leave_the_directory_as_it_was(self, tmp_path, previous_run):
+        out = tmp_path / "run"
+        if previous_run:
+            first = ArtifactSession(out, "test", "", "0")
+            first.write_text("a.csv", "x\n")
+            first.finish()
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if previous_run else None
+
+        def chunks():
+            yield "a,b\n"
+            yield "1,2\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            with ArtifactSession(out, "test", "", "0") as session:
+                session.write_text("b.csv", "y\n")
+                session.write_text("a.csv", chunks())
+        if previous_run:
+            load_manifest(out / "manifest.json", verify=True)
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert not out.exists()
+
+
 class TestCliCommands:
     def test_synth_and_train(self, quick_cfg_path, tmp_path):
         out = tmp_path / "synth"

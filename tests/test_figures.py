@@ -2,6 +2,7 @@
 
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,20 @@ def test_synth_exports_datasets(small_cfg, tmp_path):
     man = load_manifest(manifest)
     names = {a["path"] for a in man.artifacts}
     assert {"mixture.txt", "train_seed1.csv", "val_seed1.csv"} <= names
+
+
+def test_synth_export_memory_stays_below_its_csv(tmp_path):
+    # the export streams each CSV in blocks of rows and samples in place, so
+    # its peak of traced allocations (numpy's included) is the dataset arrays
+    # and one block's text, not the text of the whole file
+    cfg = parse_config(SMALL.replace("val_n = 120", "val_n = 16000"))
+    tracemalloc.start()
+    try:
+        run_synth(cfg, tmp_path / "s", [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "s" / "val_seed1.csv").stat().st_size
 
 
 def test_train_writes_history_and_checkpoints(small_cfg, tmp_path):

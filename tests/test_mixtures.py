@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxentlab._gemm import _GEMM_ONE_THREAD
+from maxentlab._gemm import _GEMM_ONE_THREAD, _linear
 from maxentlab._streams import SAMPLE, derive_rng
-from maxentlab.datasets import LabeledDataset, dataset_csv_lines
+from maxentlab.datasets import _EXPORT_BLOCK, LabeledDataset, dataset_csv_chunks
 from maxentlab.errors import CovarianceError, NotCenteredError, ShapeError, WeightError
 from maxentlab.mixtures import (
     GaussianMixture,
@@ -19,7 +21,7 @@ from maxentlab.mixtures import (
     validate,
 )
 
-from conftest import random_mixture
+from conftest import random_mixture, random_spd
 
 
 def two_point_mixture():
@@ -157,6 +159,55 @@ class TestSample:
             assert x[idx].tobytes() == whole.tobytes()
 
 
+def sample_with_separate_normals(mixture, count, seed):
+    """``sample`` as it was before it drew its normals into the array it returns."""
+    rng = derive_rng(seed, SAMPLE)
+    labels = rng.choice(mixture.count, size=count, p=mixture.weights / mixture.weights.sum())
+    z = rng.standard_normal((count, mixture.dim))
+    x = np.empty((count, mixture.dim), dtype=np.float64)
+    for c in range(mixture.count):
+        idx = np.nonzero(labels == c)[0]
+        if idx.size == 0:
+            continue
+        x[idx] = mixture.means[c] + _linear(z[idx], spectral_factor(mixture.covariances[c]))
+    return x, labels
+
+
+def _reference_mixtures():
+    rng = np.random.default_rng(11)
+    n = 16
+    low_rank = rng.normal(size=(n, 3))
+    mixed = GaussianMixture(
+        # the last component's weight is so small that it never draws a row
+        np.array([0.5, 0.3, 0.2 - 1e-13, 1e-13]),
+        rng.normal(size=(4, n)),
+        np.stack([random_spd(rng, n), low_rank @ low_rank.T, np.zeros((n, n)), random_spd(rng, n)]),
+    )
+    single = GaussianMixture(np.array([1.0]), rng.normal(size=(1, n)), random_spd(rng, n)[None])
+    point_masses = GaussianMixture(np.array([0.6, 0.4]), rng.normal(size=(2, 3)), np.zeros((2, 3, 3)))
+    return {"mixed": mixed, "single": single, "point_masses": point_masses}
+
+
+REFERENCE_MIXTURES = _reference_mixtures()
+
+
+class TestSampleInPlace:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(REFERENCE_MIXTURES)),
+        count=st.integers(1, 5_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_separate_normals(self, name, count, seed):
+        mixture = REFERENCE_MIXTURES[name]
+        x, labels = sample_with_separate_normals(mixture, count, seed)
+        ds = sample(mixture, count, seed)
+        assert ds.features.tobytes() == x.tobytes()
+        assert ds.labels.tobytes() == labels.astype(np.int64).tobytes()
+        if name == "mixed":
+            assert not (ds.labels == 3).any()
+
+
 class TestMoments:
     def test_overall_covariance_identity(self):
         mix = GaussianMixture(np.array([1.0]), np.zeros((1, 3)), np.eye(3)[None])
@@ -257,12 +308,19 @@ class TestVectorSumInequalities:
         assert (lhs >= rhs - 1e-12).all()
 
 
+def one_scalar_per_value(dataset):
+    """The export text made the slow way: one numpy scalar per value."""
+    lines = ["label," + ",".join(f"f{j}" for j in range(dataset.dim))]
+    for i in range(dataset.size):
+        feats = ",".join(repr(float(v)) for v in dataset.features[i])
+        lines.append(f"{int(dataset.labels[i])},{feats}")
+    return "\n".join(lines) + "\n"
+
+
 class TestDatasetCsv:
     def test_header_and_rows(self):
         ds = LabeledDataset(np.array([[1.5, -2.0]]), np.array([3]))
-        lines = dataset_csv_lines(ds)
-        assert lines[0] == "label,f0,f1"
-        assert lines[1] == "3,1.5,-2.0"
+        assert "".join(dataset_csv_chunks(ds)) == "label,f0,f1\n3,1.5,-2.0\n"
 
     def test_same_text_as_one_scalar_per_value(self, rng):
         # the export formats Python floats from tolist, a block of rows at a
@@ -270,18 +328,21 @@ class TestDatasetCsv:
         special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308]
         values = np.concatenate([rng.normal(size=2_500 * 3 - len(special)) * 1e3, special])
         ds = LabeledDataset(values.reshape(2_500, 3), rng.integers(0, 12, 2_500))
-
-        def one_scalar_per_value(dataset):
-            lines = ["label," + ",".join(f"f{j}" for j in range(dataset.dim))]
-            for i in range(dataset.size):
-                feats = ",".join(repr(float(v)) for v in dataset.features[i])
-                lines.append(f"{int(dataset.labels[i])},{feats}")
-            return lines
-
-        text = "\n".join(dataset_csv_lines(ds)).encode()
-        assert text == "\n".join(one_scalar_per_value(ds)).encode()
+        text = "".join(dataset_csv_chunks(ds)).encode()
+        assert text == one_scalar_per_value(ds).encode()
         empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
-        assert dataset_csv_lines(empty) == ["label,f0,f1"]
+        assert list(dataset_csv_chunks(empty)) == ["label,f0,f1\n"]
+
+    @pytest.mark.parametrize("size", [0, 1, _EXPORT_BLOCK - 1, _EXPORT_BLOCK, _EXPORT_BLOCK + 1])
+    def test_chunks_at_the_block_edges(self, rng, size):
+        ds = LabeledDataset(rng.normal(size=(size, 2)), rng.integers(0, 10, size))
+        chunks = list(dataset_csv_chunks(ds))
+        assert chunks[0] == "label,f0,f1\n"
+        rows_per_chunk = [chunk.count("\n") for chunk in chunks[1:]]
+        full, rest = divmod(size, _EXPORT_BLOCK)
+        assert rows_per_chunk == [_EXPORT_BLOCK] * full + ([rest] if rest else [])
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        assert "".join(chunks) == one_scalar_per_value(ds)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
