@@ -44,21 +44,27 @@ def _linear(
     ``_ROW_SLICE_MAX`` or ``_COLUMN_SLICE_MAX`` limits, and one-output products
     (gemv again), are multiplied whole. A one-slice product, such as every SGD
     batch's logits, is that one call, made without planning slice edges.
+
+    Leading axes broadcast as in ``np.matmul``: a (K, outputs, K_in) stack of
+    matrices applies each to ``x`` (or to each of a stack of inputs), and every
+    matrix of the stack gets the slices and bits it gets alone.
     """
-    outputs, inner = w.shape
-    width = x.shape[1] if columns else x.shape[0]
+    outputs, inner = w.shape[-2:]
+    width = x.shape[-1] if columns else x.shape[-2]
     max_outputs, max_inner = _COLUMN_SLICE_MAX if columns else _ROW_SLICE_MAX
     count = 1
     if 2 <= outputs <= max_outputs and inner <= max_inner:
         count = -(-width // (_GEMM_ONE_THREAD // (outputs * inner)))
+    w_t = None if columns else w.swapaxes(-1, -2)
     if count == 1:
-        return np.matmul(w, x, out=out) if columns else np.matmul(x, w.T, out=out)
+        return np.matmul(w, x, out=out) if columns else np.matmul(x, w_t, out=out)
     if out is None:
-        out = np.empty((outputs, width) if columns else (width, outputs))
+        stack = np.broadcast_shapes(x.shape[:-2], w.shape[:-2])
+        out = np.empty(stack + ((outputs, width) if columns else (width, outputs)))
     edges = [width * i // count for i in range(count + 1)]
     for lo, hi in zip(edges, edges[1:]):
         if columns:
-            np.matmul(w, x[:, lo:hi], out=out[:, lo:hi])
+            np.matmul(w, x[..., lo:hi], out=out[..., lo:hi])
         else:
-            np.matmul(x[lo:hi], w.T, out=out[lo:hi])
+            np.matmul(x[..., lo:hi, :], w_t, out=out[..., lo:hi, :])
     return out

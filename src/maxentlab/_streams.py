@@ -52,6 +52,10 @@ REFERENCE = 9    # a verification run's shared Monte-Carlo reference normals, on
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# The largest s whose draws ``Generator.uniform(-s, s)`` can take: the range
+# 2 s of a larger one overflows, and numpy refuses it with an OverflowError.
+MAX_UNIFORM_SCALE = float(np.finfo(np.float64).max) / 2
+
 
 def derive_rng(seed: int, *context: int) -> np.random.Generator:
     """Return the generator addressed by (seed, *context); see the module docstring for aliases."""

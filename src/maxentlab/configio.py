@@ -55,6 +55,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._streams import MAX_UNIFORM_SCALE
 from .bounds import BOUND_KINDS, MIN_TRIALS
 from .core import MIN_MC_DRAWS
 from .errors import IoError, ParseError, ValidationError
@@ -334,9 +335,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             f"sample counts must be >= 1, got {cfg.bounds_sample_counts}",
             field="bounds.sample_counts",
         )
-    if not all(math.isfinite(s) and s > 0 for s in cfg.bounds_scales):
+    if not all(0 < s <= MAX_UNIFORM_SCALE for s in cfg.bounds_scales):
         raise ValidationError(
-            f"scales must be finite and > 0, got {cfg.bounds_scales}", field="bounds.scales"
+            f"bounds.scales must lie in (0, {MAX_UNIFORM_SCALE:g}], got {cfg.bounds_scales}",
+            field="bounds.scales",
         )
     for frac in cfg.noise_fractions + cfg.data_fractions:
         if not 0.0 <= frac <= 1.0:

@@ -155,13 +155,13 @@ def softmax_batch(logits: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a float64 array the caller owns, computed in place in ``z``."""
+    """Softmax over the last axis of a float64 array the caller owns, computed in place in ``z``."""
     if not np.isfinite(z).all():
         raise NonFiniteError("logits must be finite")
     # the ufunc reductions ``z.max`` and ``z.sum`` call, without their wrappers
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -177,7 +177,7 @@ def predict_proba(model: LinearSoftmaxModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict_proba_batch(model: LinearSoftmaxModel, raw: np.ndarray) -> np.ndarray:
-    return _forward(model, _checked_batch(model, raw))[1]
+    return _forward(model.weights, model.feature_map, _checked_batch(model, raw))[1]
 
 
 def _checked_batch(model: LinearSoftmaxModel, raw: np.ndarray) -> np.ndarray:
@@ -191,17 +191,25 @@ def _checked_batch(model: LinearSoftmaxModel, raw: np.ndarray) -> np.ndarray:
 
 
 def _forward(
-    model: LinearSoftmaxModel, raw: np.ndarray, out: np.ndarray | None = None
+    weights: np.ndarray,
+    feature_map: np.ndarray | None,
+    raw: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(features, probabilities) of a checked raw batch: the one forward pass.
 
-    The caller checks the batch's shape and finiteness; non-finite logits
-    (diverged parameters) still raise NonFiniteError. The logits are written
-    into ``out``, an (N, C) array the caller owns (a fresh one when None), and
-    normalised there in place, so ``out`` becomes the probabilities.
+    ``weights`` (C, n) and ``feature_map`` (n, n_raw, or None for the
+    identity) are a model's, or (K, C, n) and (K, n, n_raw) stacks of K
+    models' parameters, which give (K, N, n) features and (K, N, C)
+    probabilities, each model's with the bits of its own pass. The caller
+    checks the batch's shape and finiteness; non-finite logits (diverged
+    parameters) still raise NonFiniteError. The logits are written into
+    ``out``, an array of the probabilities' shape that the caller owns (a
+    fresh one when None), and normalised there in place, so ``out`` becomes
+    the probabilities.
     """
-    phi = model.transform(raw)
-    return phi, _softmax_rows(_linear(phi, model.weights, out))
+    phi = raw if feature_map is None else _linear(raw, feature_map)
+    return phi, _softmax_rows(_linear(phi, weights, out))
 
 
 def _label_ce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -225,14 +233,15 @@ def _log_entropies(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ln max(p, PROB_FLOOR), -sum p ln p per row clamped to [0, ln C]) of float64 rows.
 
     The one ln p an SGD batch takes: the entropy is computed from it here,
-    and ``logit_gradient`` reuses both.
+    and ``logit_gradient`` reuses both. Rows lie along the last axis, so a
+    (K, N, C) stack of batches gives (K, N) entropies.
     """
     log_p = np.maximum(p, PROB_FLOOR)
     np.log(log_p, out=log_p)
     # p * log_p is exactly 0 at p = 0, matching the convention 0 ln 0 = 0
-    h = -np.add.reduce(p * log_p, axis=1)
+    h = -np.add.reduce(p * log_p, axis=-1)
     # the clip method is np.clip's ufunc without np.clip's wrapper
-    return log_p, h.clip(0.0, _log_class_count(p.shape[1]))
+    return log_p, h.clip(0.0, _log_class_count(p.shape[-1]))
 
 
 @functools.cache
@@ -469,13 +478,16 @@ def logit_gradient(
 
     g = (p - y) + (gamma p)(ln p + H). ``terms`` is ``_log_entropies(p)``
     when the caller already holds it, as the SGD step does, so the batch's
-    ln p is taken once; it is read, not modified.
+    ln p is taken once; it is read, not modified. A (K, N, C) stack of
+    probabilities takes one gamma per batch as a (K, 1, 1) array; a batch
+    whose gamma is 0 there adds (0 p)(ln p + H) = +-0 to entries that are
+    never -0, which leaves their bits alone.
     """
     g = p.copy()
-    g[np.arange(labels.shape[0]), labels] -= 1.0
-    if gamma != 0.0:
+    g[..., np.arange(labels.shape[0]), labels] -= 1.0
+    if isinstance(gamma, np.ndarray) or gamma != 0.0:
         log_p, h = _log_entropies(p) if terms is None else terms
-        g += gamma * p * (log_p + h[:, None])
+        g += gamma * p * (log_p + h[..., None])
     return g
 
 
@@ -487,29 +499,30 @@ def maxent_gradient(
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     _check_labels(batch, model.class_count)
     x = _checked_batch(model, batch.features)
-    phi, p = _forward(model, x)
+    phi, p = _forward(model.weights, model.feature_map, x)
     g = logit_gradient(p, batch.labels, gamma)
-    grad_w, grad_a = _param_grads(model, x, phi, g)
+    grad_w, grad_a = _param_grads(model.weights, model.feature_map, x, phi, g)
     if not np.isfinite(grad_w).all() or (grad_a is not None and not np.isfinite(grad_a).all()):
         raise NonFiniteError("gradient is not finite")
     return grad_w, grad_a
 
 
 def _param_grads(
-    model: LinearSoftmaxModel,
+    weights: np.ndarray,
+    feature_map: np.ndarray | None,
     raw: np.ndarray,
     phi: np.ndarray,
     g: np.ndarray,
-    with_feature_map: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Batch-mean (grad_W, grad_A) from per-sample logit gradients ``g``.
 
-    ``phi`` holds the features of ``raw`` under the model. grad_A is None
-    without a feature map, or when ``with_feature_map`` is false (a frozen map).
+    ``phi`` holds the features of ``raw`` under the parameters, which may be
+    stacks as in ``_forward`` (with ``g`` of shape (K, N, C)). grad_A is None
+    when ``feature_map`` is: without a map, or when the caller freezes it.
     """
     scale = 1.0 / raw.shape[0]
-    grad_w = scale * (g.T @ phi)
+    grad_w = scale * (g.swapaxes(-1, -2) @ phi)
     grad_a = None
-    if with_feature_map and model.feature_map is not None:
-        grad_a = scale * ((g @ model.weights).T @ raw)
+    if feature_map is not None:
+        grad_a = scale * ((g @ weights).swapaxes(-1, -2) @ raw)
     return grad_w, grad_a

@@ -30,12 +30,22 @@ class DomainError(MaxentLabError):
 
 
 class DivergenceError(MaxentLabError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss.
 
-    def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
+    ``arm`` is the index of the diverged model in its ``train_stack`` call.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        epoch: int | None = None,
+        batch: int | None = None,
+        arm: int | None = None,
+    ):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
+        self.arm = arm
 
 
 class ParseError(MaxentLabError):

@@ -3,12 +3,18 @@
 ``train`` and every figure kind are one declarative grid of training arms.
 ``PIPELINES`` maps each to the arms it trains per seed and to a reducer that
 writes its plot-ready CSVs. One runner serves them all: it expands the seeds
-into ``ArmSpec``s, resolves the mixture once, trains every arm with
-``run_arm`` (seeds optionally thread-parallel, with one arm training at a
-time; results are collected in grid order, so thread count never changes
-output), calls the reducer, and writes a normalized ``summary.csv`` with one
-row per arm, which is what ``report`` merges across runs. ``pc_scatter`` trains
-nothing: its grid is empty. Every pipeline writes through an ArtifactSession
+into ``ArmSpec``s, resolves the mixture once, trains every arm (seeds
+optionally thread-parallel, with one arm or stack training at a time;
+results are collected in grid order, so thread count never changes output),
+calls the reducer, and writes a normalized ``summary.csv`` with one row per
+arm, which is what ``report`` merges across runs. A seed's arms that train a
+feature map and share their training rows and objective train as one stack
+through ``training.train_stack``, each with the bits of its solo run; every
+other arm trains alone through ``run_arm``, so the benchmark harness, which
+counts ``run_arm`` and ``train`` calls, still sees one of each per arm (see
+ROADMAP item 2). Diverging arms fail the run with the error of the first of
+them in grid order, as if the arms had trained one after the other.
+``pc_scatter`` trains nothing: its grid is empty. Every pipeline writes through an ArtifactSession
 and finishes with a manifest. Only the arms of ``HISTORY_PIPELINES`` record
 validation CE and accuracy at every epoch; every other arm only checks its
 validation logits for divergence there and is evaluated once, when trained.
@@ -41,6 +47,7 @@ from .bounds import (
 )
 from .checkpoint import save_checkpoint
 from .configio import ExperimentConfig, resolve_mixture, serialize_config, serialize_mixture
+from .core import LinearSoftmaxModel
 from .csvio import csv_text, read_csv
 from .datasets import LabeledDataset, dataset_csv_chunks
 from .diversity import (
@@ -58,10 +65,12 @@ from .training import (
     HISTORY_CSV_HEADER,
     EvalReport,
     TrainHistory,
+    TrainConfig,
     evaluate,
     init_model,
     inject_label_noise,
     train,
+    train_stack,
 )
 
 SUMMARY_CSV_NAME = "summary.csv"
@@ -71,14 +80,16 @@ SUMMARY_CSV_HEADER = (
 )
 SWEEP_CSV_HEADER = "gamma,val_acc,val_entropy,w_l2"
 
-# Held by ``run_arm`` while it trains. SGD on small batches spends its time in
-# the interpreter, so two arms cannot train at once under the GIL. When they
-# try from threads on two cores, every short numpy call that drops the GIL
-# wakes the other thread on the other core: figure spectrum at --threads 2
-# made about 110,000 such switches a run, took about a quarter more CPU time
-# and a wall time that followed the host's scheduling. Taking turns, a seed's
-# sampling and an arm's evaluation and feature spectrum still overlap another
-# seed's training.
+# Held by ``run_arm`` while it trains an arm, and by ``_train_group`` while it
+# trains a stack. SGD on small batches spends its time in the interpreter, so
+# two arms cannot train at once under the GIL. When they try from threads on
+# two cores, every short numpy call that drops the GIL wakes the other thread
+# on the other core: figure spectrum at --threads 2 made about 110,000 such
+# switches a run, took about a quarter more CPU time and a wall time that
+# followed the host's scheduling. Taking turns, a seed's sampling and an
+# arm's evaluation and feature spectrum still overlap another seed's
+# training. A stack gets its speed from sharing each step's interpreter
+# calls among its arms, not from threads.
 _TRAINING = threading.Lock()
 
 # (mixture, cfg, seed, datasets) of the seed whose arms ``_train_seed`` is
@@ -173,42 +184,69 @@ def run_arm(
     Inside the grid runner's ``_train_seed`` for this mixture, config and
     seed, the arm reads the datasets sampled there; elsewhere it samples them.
     """
+    arm = ArmSpec(figure, seed, objective, gamma, noise_fraction, data_fraction)
     shared = _SEED_DATASETS.get()
     if shared is not None and shared[0] is mixture and shared[1] is cfg and shared[2] == seed:
-        tr, va = shared[3]
+        datasets = shared[3]
     else:
-        tr, va = make_datasets(mixture, cfg, seed)
-    if noise_fraction > 0:
-        tr = inject_label_noise(tr, noise_fraction, seed=noise_seed(seed))
-    if data_fraction < 1.0:
-        tr = tr.subset(np.arange(int(np.floor(data_fraction * tr.size))))
+        datasets = make_datasets(mixture, cfg, seed)
+    tr, va, run_cfg, model0 = _arm_inputs(mixture, cfg, arm, datasets)
+    with _TRAINING:
+        trained, history = train(model0, tr, va, run_cfg, val_metrics=figure in HISTORY_PIPELINES)
+    return _arm_result(mixture, cfg, arm, run_cfg, va, trained, history)
+
+
+def _arm_inputs(
+    mixture: GaussianMixture,
+    cfg: ExperimentConfig,
+    arm: ArmSpec,
+    datasets: tuple[LabeledDataset, LabeledDataset],
+) -> tuple[LabeledDataset, LabeledDataset, TrainConfig, LinearSoftmaxModel]:
+    """(train set, validation set, train config, initial model) of an arm on its seed's datasets."""
+    tr, va = datasets
+    if arm.noise_fraction > 0:
+        tr = inject_label_noise(tr, arm.noise_fraction, seed=noise_seed(arm.seed))
+    if arm.data_fraction < 1.0:
+        tr = tr.subset(np.arange(int(np.floor(arm.data_fraction * tr.size))))
     tc = cfg.train
-    effective_gamma = tc.gamma if gamma is None else float(gamma)
-    run_cfg = dataclasses.replace(tc, objective=objective, gamma=effective_gamma, seed=seed)
+    gamma = tc.gamma if arm.gamma is None else float(arm.gamma)
+    run_cfg = dataclasses.replace(tc, objective=arm.objective, gamma=gamma, seed=arm.seed)
     model0 = init_model(
         mixture.count,
         mixture.dim,
         mixture.dim,
         run_cfg.init_scale,
-        seed,
+        arm.seed,
         with_feature_map=run_cfg.train_feature_map,
     )
-    with _TRAINING:
-        trained, history = train(model0, tr, va, run_cfg, val_metrics=figure in HISTORY_PIPELINES)
+    return tr, va, run_cfg, model0
+
+
+def _arm_result(
+    mixture: GaussianMixture,
+    cfg: ExperimentConfig,
+    arm: ArmSpec,
+    run_cfg: TrainConfig,
+    va: LabeledDataset,
+    trained: LinearSoftmaxModel,
+    history: TrainHistory,
+) -> ArmResult:
+    """An arm's result: its trained model evaluated, with its feature spectrum when it has a map."""
     report = evaluate(trained, va)
     spectrum = tail = None
     if trained.feature_map is not None:
         spectrum = empirical_diversity(trained.transform(va.features))
         tail = spectrum_tail_mass(spectrum, max(1, mixture.dim // 4))
+    objective, gamma = arm.objective, run_cfg.gamma
     return ArmResult(
         regime=cfg.regime,
-        figure=figure,
-        objective=objective if objective != "maxent" or effective_gamma > 0 else "ce",
-        gamma=effective_gamma if objective == "maxent" else 0.0,
-        epsilon=tc.lsr_epsilon if objective == "lsr" else None,
-        noise_fraction=noise_fraction,
-        data_fraction=data_fraction,
-        seed=seed,
+        figure=arm.figure,
+        objective=objective if objective != "maxent" or gamma > 0 else "ce",
+        gamma=gamma if objective == "maxent" else 0.0,
+        epsilon=run_cfg.lsr_epsilon if objective == "lsr" else None,
+        noise_fraction=arm.noise_fraction,
+        data_fraction=arm.data_fraction,
+        seed=arm.seed,
         history=history,
         model=trained,
         val_report=report,
@@ -391,28 +429,83 @@ FIGURE_KINDS = tuple(kind for kind in PIPELINES if kind != "train")
 HISTORY_PIPELINES = frozenset({"train", "ce_vs_val"})
 
 
-def _train_arm(mixture: GaussianMixture, cfg: ExperimentConfig, arm: ArmSpec) -> ArmResult:
-    try:
-        return run_arm(mixture, cfg, **dataclasses.asdict(arm))
-    except DivergenceError as err:
-        raise DivergenceError(f"{arm}: {err}", epoch=err.epoch, batch=err.batch) from err
+def _stack_groups(cfg: ExperimentConfig, arms: list[ArmSpec]) -> list[list[int]]:
+    """The indices of a seed's arms that train together, each group in grid order.
+
+    Arms that train a feature map and share their training rows and objective
+    (so their train configs differ in gamma alone) form one stack; every other
+    arm is a group of one. Groups come in the grid order of their first arms.
+    """
+    if not cfg.train.train_feature_map:
+        return [[i] for i in range(len(arms))]
+    groups: dict[tuple, list[int]] = {}
+    for i, arm in enumerate(arms):
+        groups.setdefault((arm.noise_fraction, arm.data_fraction, arm.objective), []).append(i)
+    return list(groups.values())
+
+
+def _train_group(
+    mixture: GaussianMixture,
+    cfg: ExperimentConfig,
+    arms: list[ArmSpec],
+    datasets: tuple[LabeledDataset, LabeledDataset],
+) -> list[ArmResult]:
+    """Train one group of ``_stack_groups``: a lone arm through ``run_arm``, more as one stack.
+
+    A DivergenceError's ``arm`` is the index of the diverged arm in ``arms``.
+    """
+    if len(arms) == 1:
+        return [run_arm(mixture, cfg, **dataclasses.asdict(arms[0]))]
+    train_sets, val_sets, run_cfgs, models = zip(
+        *(_arm_inputs(mixture, cfg, arm, datasets) for arm in arms)
+    )
+    # the arms share their training rows, and every arm its seed's validation set
+    tr, va = train_sets[0], val_sets[0]
+    with _TRAINING:
+        trained = train_stack(
+            list(models), tr, va, list(run_cfgs), val_metrics=arms[0].figure in HISTORY_PIPELINES
+        )
+    return [
+        _arm_result(mixture, cfg, arm, run_cfg, va, model, history)
+        for arm, run_cfg, (model, history) in zip(arms, run_cfgs, trained)
+    ]
 
 
 def _train_seed(
     mixture: GaussianMixture, cfg: ExperimentConfig, arms: list[ArmSpec]
 ) -> list[ArmResult]:
-    """Train the arms of one seed, in order, on one read-only sample of its datasets."""
+    """Train the arms of one seed on one read-only sample of its datasets; results in grid order.
+
+    If arms diverge, the error is that of the first of them in grid order,
+    as if the arms had trained one after the other.
+    """
     seed = arms[0].seed
     datasets = make_datasets(mixture, cfg, seed)
     for ds in datasets:
         # an arm that wrote into them would change the data of the arms after it
         for array in (ds.features, ds.labels, ds.noise_mask):
             array.flags.writeable = False
+    results: list[ArmResult | None] = [None] * len(arms)
+    first = None  # (grid index, error) of the first arm known to diverge
     token = _SEED_DATASETS.set((mixture, cfg, seed, datasets))
     try:
-        return [_train_arm(mixture, cfg, arm) for arm in arms]
+        for group in _stack_groups(cfg, arms):
+            if first is not None and group[0] > first[0]:
+                break  # every arm left comes after the diverged one
+            try:
+                trained = _train_group(mixture, cfg, [arms[i] for i in group], datasets)
+            except DivergenceError as err:
+                if first is None or group[err.arm] < first[0]:
+                    first = (group[err.arm], err)
+                continue
+            for i, res in zip(group, trained):
+                results[i] = res
     finally:
         _SEED_DATASETS.reset(token)
+    if first is not None:
+        index, err = first
+        raise DivergenceError(f"{arms[index]}: {err}", epoch=err.epoch, batch=err.batch) from err
+    return results
 
 
 def _run_grid(cfg: ExperimentConfig, kind: str, command: str, out_dir: Path, seeds, threads):

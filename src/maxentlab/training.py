@@ -41,17 +41,31 @@ only their own gradient. The validation set is checked once, before record
 0; the per-epoch records pass it straight to ``core._forward``, or only
 through the model's products (``_gemm._linear``) when they check for
 divergence alone and the bounds do not settle it.
+
+``train_stack`` trains K arms that share a training set and every config
+field but gamma in one loop, and ``train`` is its one-arm case. Each batch
+is taken once for all arms: their weights and feature maps travel as
+(K, C, n) and (K, n, n_raw) stacks through the same kernels, whose 3-D
+products make each arm's product its own BLAS call, and whose reductions run
+along each arm's own rows. So every arm keeps the bits of its solo run. A
+single arm runs on its model's 2-D arrays, as it always did. An arm whose
+loss or parameters stop being finite drops out and the others go on; once
+no arm before it in the stack still trains, the first diverged arm's error
+is raised, with the message, epoch and batch of its solo run. The loop
+checks finiteness itself, so it runs with numpy's overflow and invalid-value
+warnings off: a diverging arm is reported by its DivergenceError alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._gemm import _linear
-from ._streams import INIT, NOISE, SHUFFLE, derive_rng
+from ._streams import INIT, MAX_UNIFORM_SCALE, NOISE, SHUFFLE, derive_rng
 from .core import (
     LinearSoftmaxModel,
     _check_labels,
@@ -137,6 +151,11 @@ class TrainConfig:
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v}", field=f"train.{name}")
+        if self.init_scale > MAX_UNIFORM_SCALE:
+            raise ValidationError(
+                f"train.init_scale must be <= {MAX_UNIFORM_SCALE:g}, got {self.init_scale}",
+                field="train.init_scale",
+            )
         if self.gamma < 0:
             raise ValidationError(f"gamma must be >= 0, got {self.gamma}", field="train.gamma")
         if not 0.0 <= self.lsr_epsilon < 1.0:
@@ -266,6 +285,109 @@ def _logits_bounded(model: LinearSoftmaxModel, reach: np.ndarray) -> bool:
         return bool(np.maximum.reduce(np.abs(model.weights) @ features) < _OVERFLOW_SAFE)
 
 
+def _diverged(
+    what: str, epoch: int, batch: int, arm: int, err: Exception | None = None
+) -> DivergenceError:
+    detail = "" if err is None else f": {err}"
+    return DivergenceError(
+        f"non-finite {what} at epoch {epoch}, batch {batch}{detail}",
+        epoch=epoch,
+        batch=batch,
+        arm=arm,
+    )
+
+
+class _Stack:
+    """The arms of a ``train_stack`` call that still train, with their parameters stacked.
+
+    One arm trains on its model's own 2-D arrays and its gamma. K > 1 arms
+    train on (K, C, n) weights and (K, n, n_raw) feature maps whose rows the
+    models' arrays view, so an in-place update of the stack updates every
+    model, and on a (K, 1, 1) gamma (0.0 when every gamma is 0). An arm that
+    diverges drops out with its error, and the others are stacked again.
+    """
+
+    def __init__(self, models: list[LinearSoftmaxModel], gammas: list[float]):
+        self.models = models
+        self.gammas = gammas
+        self.arms = list(range(len(models)))
+        self.failures: dict[int, DivergenceError] = {}
+        self._restack()
+
+    def _restack(self) -> None:
+        models = [self.models[k] for k in self.arms]
+        if len(models) == 1:
+            self.weights, self.feature_map = models[0].weights, models[0].feature_map
+            self.gamma = self.gammas[self.arms[0]]
+            return
+        self.weights = np.stack([m.weights for m in models])
+        for model, weights in zip(models, self.weights):
+            model.weights = weights
+        self.feature_map = None
+        if models[0].feature_map is not None:
+            self.feature_map = np.stack([m.feature_map for m in models])
+            for model, feature_map in zip(models, self.feature_map):
+                model.feature_map = feature_map
+        gammas = [self.gammas[k] for k in self.arms]
+        self.gamma = np.array(gammas)[:, None, None] if any(gammas) else 0.0
+
+    def drop(self, failures: dict[int, DivergenceError]) -> None:
+        self.failures.update(failures)
+        self.arms = [k for k in self.arms if k not in failures]
+        if self.arms:
+            self._restack()
+
+    @property
+    def settled(self) -> bool:
+        """Whether the error to raise is known: no arm before the first failure still trains."""
+        return bool(self.failures) and (not self.arms or min(self.failures) < self.arms[0])
+
+    def take(self, raw: np.ndarray, rows: np.ndarray, labels: np.ndarray, epoch: int, batch: int):
+        """(features, probabilities, ln p and entropies, per-arm CE and entropy sums) of a batch.
+
+        An arm whose logits or loss stop being finite drops out with the error
+        its solo run raises, and the batch is taken again for the others.
+        None once the error to raise is settled.
+        """
+        m = labels.shape[0]
+        while not self.settled:
+            try:
+                phi, p = _forward(self.weights, self.feature_map, raw)
+            except NonFiniteError as err:
+                self.drop(self._forward_failures(raw, err, epoch, batch))
+                continue
+            terms = _log_entropies(p)
+            # the batch means are these sums over m, as np.mean takes them; the
+            # label entries of ln max(p, PROB_FLOOR) are what _label_ce negates.
+            # Each arm's sum runs over one C-contiguous row (the gather lays a
+            # stack's rows out strided), so it adds in the order of a solo sum.
+            ce = np.add.reduce(np.negative(terms[0][..., rows, labels], order="C"), axis=-1)
+            h = np.add.reduce(terms[1], axis=-1)
+            ce, h = (ce.tolist(), h.tolist()) if ce.ndim else ([float(ce)], [float(h)])
+            failed = {
+                k: _diverged("loss", epoch, batch, k)
+                for k, c, e in zip(self.arms, ce, h)
+                if not math.isfinite(c / m - self.gammas[k] * (e / m))
+            }
+            if not failed:
+                return phi, p, terms, ce, h
+            self.drop(failed)
+        return None
+
+    def _forward_failures(self, raw, err, epoch, batch) -> dict[int, DivergenceError]:
+        """The arms whose own forward pass of ``raw`` fails, with their solo errors."""
+        failures = {}
+        for k in self.arms:
+            model = self.models[k]
+            try:
+                _forward(model.weights, model.feature_map, raw)
+            except NonFiniteError as own:
+                failures[k] = _diverged("parameters", epoch, batch, k, own)
+        if not failures:  # the stack's rows have each arm's bits, so one of them fails
+            raise err
+        return failures
+
+
 def train(
     model: LinearSoftmaxModel,
     train_set: LabeledDataset,
@@ -282,98 +404,138 @@ def train(
     records carry no validation CE or accuracy; the validation logits are
     still checked at every epoch end, so a divergence is reported alike.
     """
-    config = config.validated()
+    return train_stack([model], train_set, val_set, [config], val_metrics=val_metrics)[0]
+
+
+def train_stack(
+    models: list[LinearSoftmaxModel],
+    train_set: LabeledDataset,
+    val_set: LabeledDataset | None,
+    configs: list[TrainConfig],
+    *,
+    val_metrics: bool = True,
+) -> list[tuple[LinearSoftmaxModel, TrainHistory]]:
+    """``train`` for K arms in one SGD loop: each shuffled batch is taken once for all of them.
+
+    ``configs[k]`` trains ``models[k]``. The arms share ``train_set`` and
+    every ``TrainConfig`` field but ``gamma``, and their models share shapes.
+    Returns each arm's (model, history), in order, bit for bit what ``train``
+    returns for that arm alone. Every arm's inputs are checked before any
+    trains. An arm that diverges drops out and the others go on; then the
+    DivergenceError of the first diverged arm is raised, with the message,
+    epoch and batch of its solo run and its index as ``arm``. Training stops
+    early once no arm before that one still trains.
+    """
+    if not models or len(models) != len(configs):
+        raise ShapeError(f"need one config per model, got {len(models)} and {len(configs)}")
+    configs = [c.validated() for c in configs]
+    config = configs[0]
+    if any(dataclasses.replace(c, gamma=config.gamma) != config for c in configs):
+        raise ValidationError("stacked arms must share every train config field but gamma")
+    shapes = {
+        (m.weights.shape, None if m.feature_map is None else m.feature_map.shape) for m in models
+    }
+    if len(shapes) > 1:
+        raise ShapeError(f"stacked models must share their shapes, got {sorted(shapes, key=str)}")
     if train_set.size == 0:
         raise ShapeError("training set is empty")
+    model = models[0]
     _check_labels(train_set, model.class_count)
     has_val = val_set is not None and val_set.size > 0
     if has_val:
         _check_labels(val_set, model.class_count)
-    model = model.copy()
-    gamma = config.gamma if config.objective == "maxent" else 0.0
+    models = [m.copy() for m in models]
+    gammas = [c.gamma if c.objective == "maxent" else 0.0 for c in configs]
     use_lsr = config.objective == "lsr"
     decay = config.weight_decay
     train_a = config.train_feature_map and model.feature_map is not None
 
-    def record(epoch: int, train_ce: float, train_h: float, lr: float) -> EpochRecord:
+    def record(arm: LinearSoftmaxModel, epoch: int, train_ce: float, train_h: float, lr: float):
         vce = vacc = None
         if has_val and val_metrics:
-            p = _forward(model, val_x, val_logits)[1]
+            p = _forward(arm.weights, arm.feature_map, val_x, val_logits)[1]
             vce = float(_label_ce(p, val_set.labels).mean())
             vacc = float((p.argmax(axis=1) == val_set.labels).mean())
-        elif has_val and not _logits_bounded(model, val_reach):
-            logits = _linear(model.transform(val_x), model.weights, val_logits)
+        elif has_val and not _logits_bounded(arm, val_reach):
+            logits = _linear(arm.transform(val_x), arm.weights, val_logits)
             if not np.isfinite(logits).all():
                 raise NonFiniteError("logits must be finite")
-        return EpochRecord(epoch, train_ce, train_h, vce, vacc, model.w_l2(), model.w_inf(), lr)
+        return EpochRecord(epoch, train_ce, train_h, vce, vacc, arm.w_l2(), arm.w_inf(), lr)
 
-    def diverged(what: str, epoch: int, batch: int, err: Exception | None = None):
-        detail = "" if err is None else f": {err}"
-        return DivergenceError(
-            f"non-finite {what} at epoch {epoch}, batch {batch}{detail}", epoch=epoch, batch=batch
-        )
+    # the loop checks finiteness itself, so a diverging arm's overflow is no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        # both sets are checked for shape and finiteness once, here, so the SGD
+        # steps and the per-epoch records below skip that check
+        starts = []
+        for m in models:
+            p0 = predict_proba_batch(m, train_set.features)
+            ce0, h0 = _label_ce(p0, train_set.labels), entropy_batch(p0)
+            starts.append((float(ce0.mean()), float(h0.mean())))
+        val_x = _checked_batch(model, val_set.features) if has_val else None
+        val_logits = np.empty((val_set.size, model.class_count)) if has_val else None
+        # max |x| per raw column, the input side of every divergence-only record's bound
+        val_reach = np.maximum.reduce(np.abs(val_x), axis=0) if has_val else None
+        lr0 = config.lr.value(0, config.epochs)
+        histories = [[record(m, 0, ce0, h0, lr0)] for m, (ce0, h0) in zip(models, starts)]
 
-    # both sets are checked for shape and finiteness once, here, so the SGD
-    # steps and the per-epoch records below skip that check
-    p0 = predict_proba_batch(model, train_set.features)
-    ce0, h0 = _label_ce(p0, train_set.labels), entropy_batch(p0)
-    val_x = _checked_batch(model, val_set.features) if has_val else None
-    val_logits = np.empty((val_set.size, model.class_count)) if has_val else None
-    # max |x| per raw column, the input side of every divergence-only record's bound
-    val_reach = np.maximum.reduce(np.abs(val_x), axis=0) if has_val else None
-    records = [record(0, float(ce0.mean()), float(h0.mean()), config.lr.value(0, config.epochs))]
-
-    n, size = train_set.size, config.batch_size
-    batch_rows = np.arange(min(n, size))
-    for epoch in range(config.epochs):
-        lr = config.lr.value(epoch, config.epochs)
-        perm = derive_rng(config.seed, SHUFFLE, epoch).permutation(n)
-        # one gather per epoch: each batch is a contiguous slice of the shuffled set
-        x_epoch, y_epoch = train_set.features[perm], train_set.labels[perm]
-        ce_sum = 0.0
-        h_sum = 0.0
-        for batch_idx, start in enumerate(range(0, n, size)):
-            x_raw = x_epoch[start : start + size]
-            y = y_epoch[start : start + size]
-            m = y.shape[0]
-            try:
-                phi, p = _forward(model, x_raw)
-            except NonFiniteError as err:
-                raise diverged("parameters", epoch + 1, batch_idx, err) from err
-            terms = _log_entropies(p)
-            # the batch means are these sums over m, as np.mean takes them; the
-            # label entries of ln max(p, PROB_FLOOR) are what _label_ce negates
-            batch_ce = float(np.add.reduce(-terms[0][batch_rows[:m], y]))
-            batch_h = float(np.add.reduce(terms[1]))
-            if not math.isfinite(batch_ce / m - gamma * (batch_h / m)):
-                raise diverged("loss", epoch + 1, batch_idx)
-            ce_sum += batch_ce
-            h_sum += batch_h
-            if use_lsr:
-                g = p - smoothed_targets(y, model.class_count, config.lsr_epsilon)
-            else:
-                g = logit_gradient(p, y, gamma, terms=terms)
-            grad_w, grad_a = _param_grads(model, x_raw, phi, g, train_a)
-            # without decay the sum grad + 0 * param is grad: a finite parameter
-            # moves by the same bits either way
-            if train_a:
+        stack = _Stack(models, gammas)
+        n, size = train_set.size, config.batch_size
+        batch_rows = np.arange(min(n, size))
+        for epoch in range(config.epochs):
+            lr = config.lr.value(epoch, config.epochs)
+            perm = derive_rng(config.seed, SHUFFLE, epoch).permutation(n)
+            # one gather per epoch: each batch is a contiguous slice of the shuffled set
+            x_epoch, y_epoch = train_set.features[perm], train_set.labels[perm]
+            ce_sum = [0.0] * len(models)
+            h_sum = [0.0] * len(models)
+            for batch_idx, start in enumerate(range(0, n, size)):
+                x_raw = x_epoch[start : start + size]
+                y = y_epoch[start : start + size]
+                step = stack.take(x_raw, batch_rows[: y.shape[0]], y, epoch + 1, batch_idx)
+                if step is None:
+                    break
+                phi, p, terms, batch_ce, batch_h = step
+                for k, c, e in zip(stack.arms, batch_ce, batch_h):
+                    ce_sum[k] += c
+                    h_sum[k] += e
+                if use_lsr:
+                    g = p - smoothed_targets(y, model.class_count, config.lsr_epsilon)
+                else:
+                    g = logit_gradient(p, y, stack.gamma, terms=terms)
+                feature_map = stack.feature_map if train_a else None
+                grad_w, grad_a = _param_grads(stack.weights, feature_map, x_raw, phi, g)
+                # without decay the sum grad + 0 * param is grad: a finite parameter
+                # moves by the same bits either way
+                if train_a:
+                    if decay:
+                        grad_a += decay * feature_map
+                    feature_map -= lr * grad_a
                 if decay:
-                    grad_a += decay * model.feature_map
-                model.feature_map -= lr * grad_a
-            if decay:
-                grad_w += decay * model.weights
-            model.weights -= lr * grad_w
-        # the epoch's last update may have overflowed: without a validation
-        # set no forward pass would see it before the model is returned
-        if not np.isfinite(model.weights).all() or (
-            train_a and not np.isfinite(model.feature_map).all()
-        ):
-            raise diverged("parameters", epoch + 1, batch_idx)
-        try:
-            records.append(record(epoch + 1, ce_sum / n, h_sum / n, lr))
-        except NonFiniteError as err:  # finite parameters whose logits overflow
-            raise diverged("parameters", epoch + 1, batch_idx, err) from err
-    return model, TrainHistory(records)
+                    grad_w += decay * stack.weights
+                stack.weights -= lr * grad_w
+            if stack.settled:
+                break
+            failed = {}
+            for k in stack.arms:
+                m = models[k]
+                # the epoch's last update may have overflowed: without a validation
+                # set no forward pass would see it before the model is returned
+                if not np.isfinite(m.weights).all() or (
+                    train_a and not np.isfinite(m.feature_map).all()
+                ):
+                    failed[k] = _diverged("parameters", epoch + 1, batch_idx, k)
+                    continue
+                try:
+                    histories[k].append(record(m, epoch + 1, ce_sum[k] / n, h_sum[k] / n, lr))
+                except NonFiniteError as err:  # finite parameters whose logits overflow
+                    failed[k] = _diverged("parameters", epoch + 1, batch_idx, k, err)
+            if failed:
+                stack.drop(failed)
+            if stack.settled:
+                break
+    if stack.failures:
+        raise stack.failures[min(stack.failures)]
+    return [(m, TrainHistory(records)) for m, records in zip(models, histories)]
 
 
 def evaluate(model: LinearSoftmaxModel, dataset: LabeledDataset) -> EvalReport:

@@ -287,6 +287,29 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "argv, edit, field",
         [
+            (["train"], {"init_scale = 0.0": "init_scale = 1e308"}, "train.init_scale"),
+            (["bounds", "verify"], {"[bounds]\n": "[bounds]\nscales = 1e308\n"}, "bounds.scales"),
+        ],
+    )
+    def test_uniform_draw_whose_range_overflows_is_an_error(
+        self, tmp_path, capsys, argv, edit, field
+    ):
+        # Generator.uniform(-s, s) cannot draw once its range 2 s overflows
+        body = (CONFIGS / "quick.cfg").read_text()
+        for old, new in edit.items():
+            assert old in body
+            body = body.replace(old, new)
+        p = tmp_path / "cfg.cfg"
+        p.write_text(body)
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, edit, field",
+        [
             (["train", "--seeds", "1,1"], {}, "experiment.seeds"),
             (["synth"], {"seeds = 1": "seeds = 2,1,2"}, "experiment.seeds"),
             (["figure", "top_prob_hist"], {"epochs = 5": "epochs = 5\ngamma = 0"}, "train.gamma"),
@@ -321,19 +344,35 @@ class TestCliCommands:
             run_train(cfg, out, [1, 1])
         assert not out.exists()
 
+    # a diverging arm's overflow is reported by the error line alone, never as a warning
+    @pytest.mark.filterwarnings("error")
     def test_divergence_names_its_arm(self, tmp_path, capsys):
-        p = tmp_path / "cfg.cfg"
         # with lr * weight_decay >> 1 each step multiplies the weights by about -lr
-        p.write_text(QUICK.replace("lr = constant:0.2", "lr = constant:1e200\nweight_decay = 1.0"))
+        self.assert_one_divergence_line(
+            tmp_path, capsys, "gamma_sweep", "lr = constant:1e200\nweight_decay = 1.0"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_of_a_feature_map_stack_names_its_arm(self, tmp_path, capsys):
+        # the decay terms of both gradients overflow
+        self.assert_one_divergence_line(
+            tmp_path,
+            capsys,
+            "spectrum",
+            "lr = constant:0.2\nweight_decay = 1e200\ntrain_feature_map = true",
+        )
+
+    def assert_one_divergence_line(self, tmp_path, capsys, figure, train_lines):
+        p = tmp_path / "cfg.cfg"
+        p.write_text(QUICK.replace("lr = constant:0.2", train_lines))
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["figure", "gamma_sweep", "--config", str(p), "--out", str(out)])
-        assert code == 1
+        assert main(["figure", figure, "--config", str(p), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "gamma=0.0" in err and "seed=1" in err, err
-        assert "epoch" in err and "batch" in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "gamma=0.0" in err and "seed=1" in err and "epoch" in err and "batch" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_divergence_report_on_a_wide_mixture(self, tmp_path, capsys, epochs):
         # means +-1000: the first update leaves weights near 1e155, whose logits
@@ -347,9 +386,7 @@ class TestCliCommands:
         p = tmp_path / "cfg.cfg"
         p.write_text(body + "[mixture]\nsource = file:wide.mix\n")
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["figure", "gamma_sweep", "--config", str(p), "--out", str(out)])
-        assert code == 1
+        assert main(["figure", "gamma_sweep", "--config", str(p), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ArmSpec(figure='gamma_sweep', seed=1,") and "gamma=0.0" in err
         assert err.endswith("non-finite parameters at epoch 1, batch 1: logits must be finite\n")

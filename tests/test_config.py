@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxentlab._streams import MAX_UNIFORM_SCALE
 from maxentlab.bounds import BOUND_KINDS, MIN_TRIALS
 from maxentlab.configio import (
     _SCHEMA,
@@ -96,6 +97,7 @@ class TestParseErrors:
             ("[bounds]\nsample_counts = 100,0\n", "bounds.sample_counts"),
             ("[bounds]\nscales = 0.1,-1.0\n", "bounds.scales"),
             ("[bounds]\nscales = 1.0,inf\n", "bounds.scales"),
+            ("[bounds]\nscales = 1.0,1e308\n", "bounds.scales"),
             ("[mixture]\ncomponents = 0\n", "mixture.components"),
             ("[mixture]\nsource = fixture_spectrum\ncomponents = 1\n", "mixture.components"),
             ("[mixture]\ndim = 0\n", "mixture.dim"),
@@ -256,7 +258,9 @@ class TestRoundTrip:
             batch_size=st.integers(1, 10**6),
             epochs=st.integers(0, 10**6),
             train_feature_map=st.booleans(),
-            init_scale=st.floats(allow_nan=False, allow_infinity=False),
+            init_scale=st.floats(
+                max_value=MAX_UNIFORM_SCALE, allow_nan=False, allow_infinity=False
+            ),
         ),
         gammas=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=5).map(tuple),
         noise_fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(tuple),
@@ -266,7 +270,7 @@ class TestRoundTrip:
         bounds_sample_counts=st.lists(st.integers(1, 10**9), min_size=1, max_size=4).map(tuple),
         bounds_entropy_draws=st.integers(MIN_MC_DRAWS, 10**9),
         bounds_scales=st.lists(
-            st.floats(0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=4
+            st.floats(0.0, MAX_UNIFORM_SCALE, exclude_min=True), min_size=1, max_size=4
         ).map(tuple),
     ).map(_runnable_data_fractions).filter(_finite_last_lr))
     @settings(max_examples=200, deadline=None)

@@ -536,7 +536,7 @@ class TestRowProduct:
         p_ref = reference_softmax_batch(np.matmul(phi_ref, model.weights.T))
         calls = record_matmul_calls(monkeypatch)
         out = np.empty((5_000, 10))
-        phi, p = _forward(model, x, out)
+        phi, p = _forward(model.weights, model.feature_map, x, out)
         assert p is out
         assert same_bits(phi, phi_ref) and same_bits(p, p_ref)
         # the feature map's 16 x 16 products first, then the 10 x 16 logits

@@ -1,5 +1,6 @@
 """Every figure pipeline runs end to end on a small config."""
 
+import sys
 import threading
 import time
 import tracemalloc
@@ -8,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maxentlab.cli import main
 from maxentlab.configio import parse_config
 from maxentlab.csvio import read_csv
+from maxentlab.errors import DivergenceError
 from maxentlab.figures import (
     FIGURE_KINDS,
     run_bounds_verify,
@@ -19,7 +22,7 @@ from maxentlab.figures import (
     run_train,
 )
 from maxentlab.manifest import load_manifest
-from maxentlab.training import train
+from maxentlab.training import train, train_stack
 
 SMALL = """
 [experiment]
@@ -174,28 +177,48 @@ def test_threaded_pipeline_matches_serial(small_cfg, tmp_path, kind):
     _assert_threads_do_not_change_artifacts(cfg, kind, tmp_path)
 
 
-def test_threaded_arms_train_one_at_a_time(small_cfg, tmp_path, monkeypatch):
+def spy_on_training(monkeypatch, spy):
+    """Route the grid's ``train`` and ``train_stack`` calls through ``spy(fn, *args, **kwargs)``."""
     import maxentlab.figures as figures
 
-    guard = threading.Lock()
-    state = {"running": 0, "most": 0, "threads": set()}
+    for name, fn in (("train", train), ("train_stack", train_stack)):
+        monkeypatch.setattr(figures, name, lambda *a, _fn=fn, **k: spy(_fn, *a, **k))
 
-    def counting_train(*args, **kwargs):
+
+def test_threaded_arms_train_one_at_a_time(small_cfg, tmp_path, monkeypatch):
+    calls = train_one_at_a_time(small_cfg, "gamma_sweep", tmp_path, monkeypatch)
+    assert calls == ["train"] * 4
+
+
+def test_threaded_stacks_train_one_at_a_time(tmp_path, monkeypatch):
+    calls = train_one_at_a_time(parse_config(SMALL_SPECTRUM), "spectrum", tmp_path, monkeypatch)
+    # a seed's two feature-map arms train as one stack
+    assert calls == ["train_stack"] * 2
+
+
+def train_one_at_a_time(cfg, kind, tmp_path, monkeypatch) -> list[str]:
+    """The training calls of ``kind`` at seeds 1 and 2 on two threads, checked to take turns."""
+    guard = threading.Lock()
+    state = {"running": 0, "most": 0, "threads": set(), "calls": []}
+
+    def counting(fn, *args, **kwargs):
         with guard:
             state["running"] += 1
             state["most"] = max(state["most"], state["running"])
             state["threads"].add(threading.get_ident())
+            state["calls"].append(fn.__name__)
         try:
             time.sleep(0.01)  # long enough for a second arm to start
-            return train(*args, **kwargs)
+            return fn(*args, **kwargs)
         finally:
             with guard:
                 state["running"] -= 1
 
-    monkeypatch.setattr(figures, "train", counting_train)
-    run_figure(small_cfg, "gamma_sweep", tmp_path / "out", [1, 2], threads=2)
+    spy_on_training(monkeypatch, counting)
+    run_figure(cfg, kind, tmp_path / "out", [1, 2], threads=2)
     assert state["most"] == 1
     assert len(state["threads"]) == 2 and threading.get_ident() not in state["threads"]
+    return state["calls"]
 
 
 def _assert_threads_do_not_change_bounds(cfg, tmp_path):
@@ -269,16 +292,15 @@ def test_skipped_val_metrics_are_never_read(tmp_path, monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ("train",) + FIGURE_KINDS)
 def test_only_history_pipelines_record_val_metrics(small_cfg, tmp_path, monkeypatch, kind):
-    import maxentlab.figures as figures
-
     seen = []
 
-    def spying_train(*args, val_metrics, **kwargs):
-        model, history = train(*args, val_metrics=val_metrics, **kwargs)
-        seen.append((val_metrics, history))
-        return model, history
+    def spying(fn, *args, val_metrics, **kwargs):
+        out = fn(*args, val_metrics=val_metrics, **kwargs)
+        runs = out if fn is train_stack else [out]
+        seen.extend((val_metrics, history) for _, history in runs)
+        return out
 
-    monkeypatch.setattr(figures, "train", spying_train)
+    spy_on_training(monkeypatch, spying)
     cfg = parse_config(SMALL_SPECTRUM) if kind == "spectrum" else small_cfg
     if kind == "train":
         run_train(cfg, tmp_path / kind, [1, 2])
@@ -346,3 +368,72 @@ def test_arms_sharing_datasets_equal_arms_sampling_their_own(
         histogram = alone.val_report.top_prob_histogram
         assert result.val_report.top_prob_histogram.tolist() == histogram.tolist()
     assert len(sampled) == 2 + len(shared)  # each arm alone sampled its own
+
+
+# ---------------------------------------------------------------------------
+# Stacked arms: a seed's feature-map arms that share their training rows and
+# objective train as one stack, with the bits of their solo runs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "kind", ["spectrum", "noise_sweep", "data_fraction_sweep", "lsr_compare", "ce_vs_val"]
+)
+def test_stacked_arms_write_the_bytes_of_solo_arms(tmp_path, monkeypatch, kind, threads):
+    import maxentlab.figures as figures
+
+    cfg = parse_config(SMALL.replace("[sweep]", "train_feature_map = true\n[sweep]"))
+    stacks = []
+
+    def spying(fn, *args, **kwargs):
+        if fn is train_stack:
+            stacks.append(len(args[0]))
+        return fn(*args, **kwargs)
+
+    spy_on_training(monkeypatch, spying)
+    stacked = _artifacts_and_digest(run_figure(cfg, kind, tmp_path / "stacked", [1, 2], threads))
+    # noise_sweep stacks its two arms per noise fraction, lsr_compare its ce and
+    # maxent arms beside the lone lsr arm, data_fraction_sweep nothing
+    per_seed = {"noise_sweep": [2, 2], "data_fraction_sweep": [], "lsr_compare": [2]}
+    assert stacks == per_seed.get(kind, [2]) * 2
+    monkeypatch.setattr(figures, "_stack_groups", lambda cfg, arms: [[i] for i in range(len(arms))])
+    solo = _artifacts_and_digest(run_figure(cfg, kind, tmp_path / "solo", [1, 2], threads))
+    assert stacked == solo
+
+
+def solo_error(cfg, gamma: float) -> tuple[str, tuple[int, int]]:
+    """The error line of the spectrum arm at ``gamma`` trained alone, as the grid reports it."""
+    import maxentlab.figures as figures
+
+    mixture = figures.resolve_mixture(cfg)
+    with pytest.raises(DivergenceError) as err:
+        figures.run_arm(mixture, cfg, "spectrum", 1, gamma=gamma)
+    arm = figures.ArmSpec("spectrum", 1, gamma=gamma)
+    return f"error: {arm}: {err.value}\n", (err.value.epoch, err.value.batch)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "lr, first",
+    [
+        # gamma 0 diverges batches after the huge gamma, and comes first in the grid
+        ("constant:1e200", 0.0),
+        # only the later arm diverges
+        ("constant:0.2", sys.float_info.max),
+    ],
+)
+def test_stacked_divergence_is_the_first_arm_solo_error(tmp_path, capsys, lr, first):
+    # the first batch's entropy, ln 10, times the largest float overflows the loss
+    body = SMALL_SPECTRUM.replace("lr = constant:0.2", f"lr = {lr}")
+    path = tmp_path / "spectrum.cfg"
+    path.write_text(body + f"gamma = {sys.float_info.max!r}\n")
+    cfg = parse_config(path.read_text())
+    expected, at = solo_error(cfg, first)
+    if first == 0.0:
+        _, huge_at = solo_error(cfg, sys.float_info.max)
+        assert huge_at == (1, 0) < at
+    out = tmp_path / "o"
+    assert main(["figure", "spectrum", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxentlab._streams import SHUFFLE, derive_rng
 from maxentlab.core import PROB_FLOOR, LinearSoftmaxModel, _linear, maxent_gradient, predict_proba
@@ -25,6 +28,7 @@ from maxentlab.training import (
     init_model,
     inject_label_noise,
     train,
+    train_stack,
 )
 
 
@@ -609,3 +613,126 @@ class TestLeanEpoch:
         big_input = np.array([1e299, 0.0])
         assert _logits_bounded(LinearSoftmaxModel(np.full((2, 2), 1e-5)), big_input)
         assert not _logits_bounded(LinearSoftmaxModel(np.full((2, 2), 10.0)), big_input)
+
+
+# ---------------------------------------------------------------------------
+# Stacked arms: ``train_stack`` takes each batch once for K arms, and every
+# arm must come out with the bits of its solo ``train``
+# ---------------------------------------------------------------------------
+
+
+HUGE_GAMMA = sys.float_info.max
+
+
+def stack_arms(gammas, feature_map, objective, weight_decay, seed0=10):
+    """(models, configs) of one stack: a model per arm, configs that differ in gamma alone."""
+    # a frozen map is rectangular, so the model has one without training it
+    n = 2 if feature_map == "frozen" else 3
+    models = [
+        init_model(3, n, 3, 0.3, seed=seed0 + k, with_feature_map=feature_map == "trained")
+        for k in range(len(gammas))
+    ]
+    configs = [
+        quick_cfg(
+            objective=objective,
+            gamma=g,
+            lsr_epsilon=0.2,
+            lr=LrSchedule("linear", 0.4),
+            weight_decay=weight_decay,
+            epochs=3,
+            batch_size=16,  # 70 rows: four full batches and one of 6
+            train_feature_map=feature_map == "trained",
+        )
+        for g in gammas
+    ]
+    return models, configs
+
+
+def assert_same_run(stacked, solo):
+    (model, history), (ref_model, ref_history) = stacked, solo
+    assert model.weights.tobytes() == ref_model.weights.tobytes()
+    if ref_model.feature_map is None:
+        assert model.feature_map is None
+    else:
+        assert model.feature_map.tobytes() == ref_model.feature_map.tobytes()
+    assert record_bits(history.records) == record_bits(ref_history.records)
+
+
+class TestTrainStack:
+    @given(
+        gammas=st.sampled_from([1, 2, 5]).flatmap(
+            lambda k: st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]), min_size=k, max_size=k)
+        ),
+        order=st.randoms(use_true_random=False),
+        feature_map=st.sampled_from(["none", "trained", "frozen"]),
+        objective=st.sampled_from(["maxent", "ce", "lsr"]),
+        val_metrics=st.booleans(),
+        weight_decay=st.sampled_from([0.0, 0.01]),
+    )
+    # gamma 0 beside gammas above 0: the entropy term times 0 adds +-0 to its rows
+    @example([0.0, 1.0], None, "trained", "maxent", False, 0.01)
+    @example([1.0, 0.0, 2.5, 0.0, 0.3], None, "trained", "maxent", True, 0.0)
+    @example([0.0, 1.0], None, "none", "lsr", False, 0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_every_arm_equals_its_solo_run(
+        self, gammas, order, feature_map, objective, val_metrics, weight_decay
+    ):
+        ds, val = three_class_sets()
+        models, configs = stack_arms(gammas, feature_map, objective, weight_decay)
+        arms = list(range(len(gammas)))
+        if order is not None:
+            order.shuffle(arms)
+        models, configs = [models[k] for k in arms], [configs[k] for k in arms]
+        stacked = train_stack(models, ds, val, configs, val_metrics=val_metrics)
+        assert len(stacked) == len(models)
+        for model, config, run in zip(models, configs, stacked):
+            assert_same_run(run, train(model, ds, val, config, val_metrics=val_metrics))
+        # the inputs are left as they were
+        fresh, _ = stack_arms(gammas, feature_map, objective, weight_decay)
+        for model, k in zip(models, arms):
+            assert model.weights.tobytes() == fresh[k].weights.tobytes()
+
+    def test_arms_must_differ_in_gamma_alone(self):
+        ds, val = three_class_sets()
+        models, configs = stack_arms([0.0, 1.0], "none", "maxent", 0.0)
+        with pytest.raises(ValidationError):
+            train_stack(models, ds, val, [configs[0], dataclasses.replace(configs[1], epochs=4)])
+        with pytest.raises(ShapeError):
+            train_stack(models, ds, val, configs[:1])
+        with pytest.raises(ShapeError):
+            train_stack([models[0], init_model(3, 2, 3, 0.3, seed=1)], ds, val, configs)
+
+    def solo_error(self, model, ds, val, config):
+        with pytest.raises(DivergenceError) as err:
+            train(model, ds, val, config, val_metrics=False)
+        return err.value
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_first_diverged_arm_in_order_is_raised(self):
+        # the largest gamma overflows the loss of the first batch, whose mean
+        # entropy is above 1, while an lr of 1e200 takes the others a batch
+        # or more to diverge
+        ds, val = three_class_sets()
+        models, configs = stack_arms([0.0, 1.0, HUGE_GAMMA], "trained", "maxent", 0.0)
+        configs = [dataclasses.replace(c, lr=LrSchedule("constant", 1e200)) for c in configs]
+        solo = [self.solo_error(m, ds, val, c) for m, c in zip(models, configs)]
+        assert (solo[2].epoch, solo[2].batch) == (1, 0) < (solo[0].epoch, solo[0].batch)
+        with pytest.raises(DivergenceError) as err:
+            train_stack(models, ds, val, configs, val_metrics=False)
+        assert str(err.value) == str(solo[0])
+        assert (err.value.epoch, err.value.batch) == (solo[0].epoch, solo[0].batch)
+        assert err.value.arm == 0
+        # alone after arms that train on, the diverged arm raises its own error
+        with pytest.raises(DivergenceError) as err:
+            train_stack(models[1:], ds, val, configs[1:], val_metrics=False)
+        assert str(err.value) == str(solo[1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_later_arm_diverging_alone_raises_its_solo_error(self):
+        ds, val = three_class_sets()
+        models, configs = stack_arms([0.0, HUGE_GAMMA, 0.5], "trained", "maxent", 0.0)
+        solo = self.solo_error(models[1], ds, val, configs[1])
+        with pytest.raises(DivergenceError) as err:
+            train_stack(models, ds, val, configs, val_metrics=False)
+        assert str(err.value) == str(solo)
+        assert (err.value.epoch, err.value.batch, err.value.arm) == (solo.epoch, solo.batch, 1)
