@@ -30,9 +30,11 @@ class DomainError(MaxentLabError):
 
 
 class DivergenceError(MaxentLabError):
-    """Training produced a non-finite loss.
+    """Training produced a non-finite loss or non-finite parameters.
 
-    ``arm`` is the index of the diverged model in its ``train_stack`` call.
+    ``arm`` is the index of the diverged model in its ``train_stack`` call:
+    after a stack diverges, its arms train again alone, in order, and the
+    first solo error is raised with its arm's index (0 for ``train``).
     """
 
     def __init__(

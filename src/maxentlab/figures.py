@@ -7,13 +7,14 @@ into ``ArmSpec``s, resolves the mixture once, trains every arm (seeds
 optionally thread-parallel, with one arm or stack training at a time;
 results are collected in grid order, so thread count never changes output),
 calls the reducer, and writes a normalized ``summary.csv`` with one row per
-arm, which is what ``report`` merges across runs. A seed's arms that train a
-feature map and share their training rows and objective train as one stack
-through ``training.train_stack``, each with the bits of its solo run; every
-other arm trains alone through ``run_arm``, so the benchmark harness, which
-counts ``run_arm`` and ``train`` calls, still sees one of each per arm (see
-ROADMAP item 2). Diverging arms fail the run with the error of the first of
-them in grid order, as if the arms had trained one after the other.
+arm, which is what ``report`` merges across runs. A seed's consecutive arms
+that train a feature map and share their training rows and objective train
+as one stack through ``training.train_stack``, each with the bits of its
+solo run; every other arm trains alone through ``run_arm``, so the
+benchmark harness, which counts ``run_arm`` and ``train`` calls, still sees
+one of each per arm (see ROADMAP item 2). Diverging arms fail the run with
+the error of the first of them in grid order, as if the arms had trained one
+after the other.
 ``pc_scatter`` trains nothing: its grid is empty. Every pipeline writes through an ArtifactSession
 and finishes with a manifest. Only the arms of ``HISTORY_PIPELINES`` record
 validation CE and accuracy at every epoch; every other arm only checks its
@@ -30,6 +31,7 @@ an arm its own copy. Only the seeds in flight hold datasets.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -430,18 +432,19 @@ HISTORY_PIPELINES = frozenset({"train", "ce_vs_val"})
 
 
 def _stack_groups(cfg: ExperimentConfig, arms: list[ArmSpec]) -> list[list[int]]:
-    """The indices of a seed's arms that train together, each group in grid order.
+    """Runs of consecutive grid indices of a seed's arms that train together.
 
-    Arms that train a feature map and share their training rows and objective
-    (so their train configs differ in gamma alone) form one stack; every other
-    arm is a group of one. Groups come in the grid order of their first arms.
+    Consecutive arms that train a feature map and share their training rows
+    and objective (so their train configs differ in gamma alone) form one
+    stack; every other arm is a group of one.
     """
     if not cfg.train.train_feature_map:
         return [[i] for i in range(len(arms))]
-    groups: dict[tuple, list[int]] = {}
-    for i, arm in enumerate(arms):
-        groups.setdefault((arm.noise_fraction, arm.data_fraction, arm.objective), []).append(i)
-    return list(groups.values())
+
+    def key(i: int) -> tuple:
+        return arms[i].noise_fraction, arms[i].data_fraction, arms[i].objective
+
+    return [list(group) for _, group in itertools.groupby(range(len(arms)), key)]
 
 
 def _train_group(
@@ -476,8 +479,8 @@ def _train_seed(
 ) -> list[ArmResult]:
     """Train the arms of one seed on one read-only sample of its datasets; results in grid order.
 
-    If arms diverge, the error is that of the first of them in grid order,
-    as if the arms had trained one after the other.
+    The groups train in grid order, so a diverging run fails with the error
+    of its first diverging arm, as if the arms had trained one after the other.
     """
     seed = arms[0].seed
     datasets = make_datasets(mixture, cfg, seed)
@@ -485,26 +488,17 @@ def _train_seed(
         # an arm that wrote into them would change the data of the arms after it
         for array in (ds.features, ds.labels, ds.noise_mask):
             array.flags.writeable = False
-    results: list[ArmResult | None] = [None] * len(arms)
-    first = None  # (grid index, error) of the first arm known to diverge
+    results: list[ArmResult] = []
     token = _SEED_DATASETS.set((mixture, cfg, seed, datasets))
     try:
         for group in _stack_groups(cfg, arms):
-            if first is not None and group[0] > first[0]:
-                break  # every arm left comes after the diverged one
             try:
-                trained = _train_group(mixture, cfg, [arms[i] for i in group], datasets)
+                results += _train_group(mixture, cfg, [arms[i] for i in group], datasets)
             except DivergenceError as err:
-                if first is None or group[err.arm] < first[0]:
-                    first = (group[err.arm], err)
-                continue
-            for i, res in zip(group, trained):
-                results[i] = res
+                arm = arms[group[err.arm]]
+                raise DivergenceError(f"{arm}: {err}", epoch=err.epoch, batch=err.batch) from err
     finally:
         _SEED_DATASETS.reset(token)
-    if first is not None:
-        index, err = first
-        raise DivergenceError(f"{arms[index]}: {err}", epoch=err.epoch, batch=err.batch) from err
     return results
 
 
@@ -614,14 +608,25 @@ def run_report(manifest_paths, out_dir: Path) -> Path:
     if not manifests:
         raise ManifestError("no manifests given")
 
-    rows = []
+    columns = SUMMARY_CSV_HEADER.split(",")
+    rows, accs = [], []
     for base, man in manifests:
         names = {a["path"] for a in man.artifacts}
         if SUMMARY_CSV_NAME not in names:
             continue
-        header, raw = read_csv(base / SUMMARY_CSV_NAME)
-        if ",".join(header) != SUMMARY_CSV_HEADER:
+        path = base / SUMMARY_CSV_NAME
+        header, raw = read_csv(path)
+        if header != columns:
             raise ManifestError(f"{base}: unexpected summary header")
+        for line, row in enumerate(raw, start=2):
+            if len(row) != len(columns):
+                raise ManifestError(f"{path}: line {line} has {len(row)} cells, not {len(columns)}")
+            cell = row[columns.index("val_acc")]
+            try:
+                accs.append(float(cell))
+            except ValueError:
+                msg = f"{path}: line {line}: val_acc {cell!r} is not a number"
+                raise ManifestError(msg) from None
         rows.extend(raw)
     if not rows:
         raise ManifestError("no summary rows found in the given manifests")
@@ -630,14 +635,14 @@ def run_report(manifest_paths, out_dir: Path) -> Path:
         session.write_text(SUMMARY_CSV_NAME, csv_text(SUMMARY_CSV_HEADER, rows))
 
         def col(row, name):
-            return row[SUMMARY_CSV_HEADER.split(",").index(name)]
+            return row[columns.index(name)]
 
         groups: dict[tuple, list[float]] = {}
-        for row in rows:
+        for row, acc in zip(rows, accs):
             key = (col(row, "regime"), col(row, "objective"), col(row, "gamma"))
             if col(row, "noise_fraction") not in ("0.0", "0", "") or col(row, "data_fraction") not in ("1.0", "1", ""):
                 continue
-            groups.setdefault(key, []).append(float(col(row, "val_acc")))
+            groups.setdefault(key, []).append(acc)
         agg_rows = [
             (k[0], k[1], k[2], len(v), _median(v), float(np.min(v)), float(np.max(v)))
             for k, v in sorted(groups.items())

@@ -48,18 +48,19 @@ is taken once for all arms: their weights and feature maps travel as
 (K, C, n) and (K, n, n_raw) stacks through the same kernels, whose 3-D
 products make each arm's product its own BLAS call, and whose reductions run
 along each arm's own rows. So every arm keeps the bits of its solo run. A
-single arm runs on its model's 2-D arrays, as it always did. An arm whose
-loss or parameters stop being finite drops out and the others go on; once
-no arm before it in the stack still trains, the first diverged arm's error
-is raised, with the message, epoch and batch of its solo run. The loop
-checks finiteness itself, so it runs with numpy's overflow and invalid-value
-warnings off: a diverging arm is reported by its DivergenceError alone.
+single arm runs on its model's 2-D arrays, as it always did. The loop stops
+at the first loss or parameter that is not finite, whichever arm it belongs
+to. A lone arm raises that DivergenceError; a stack then trains its arms
+again alone, in order, from their untouched inputs, and raises the first
+solo error, so the message, epoch and batch are those of the arm's solo run.
+Only runs that fail anyway pay for the replay. The loop checks finiteness
+itself, so it runs with numpy's overflow and invalid-value warnings off: a
+diverging arm is reported by its DivergenceError alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,107 +286,30 @@ def _logits_bounded(model: LinearSoftmaxModel, reach: np.ndarray) -> bool:
         return bool(np.maximum.reduce(np.abs(model.weights) @ features) < _OVERFLOW_SAFE)
 
 
-def _diverged(
-    what: str, epoch: int, batch: int, arm: int, err: Exception | None = None
-) -> DivergenceError:
+def _diverged(what: str, epoch: int, batch: int, err: Exception | None = None) -> DivergenceError:
     detail = "" if err is None else f": {err}"
-    return DivergenceError(
-        f"non-finite {what} at epoch {epoch}, batch {batch}{detail}",
-        epoch=epoch,
-        batch=batch,
-        arm=arm,
-    )
+    message = f"non-finite {what} at epoch {epoch}, batch {batch}{detail}"
+    return DivergenceError(message, epoch=epoch, batch=batch, arm=0)
 
 
-class _Stack:
-    """The arms of a ``train_stack`` call that still train, with their parameters stacked.
+def _stacked(models: list[LinearSoftmaxModel]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (weights, feature map) that one SGD loop updates in place for ``models``.
 
-    One arm trains on its model's own 2-D arrays and its gamma. K > 1 arms
-    train on (K, C, n) weights and (K, n, n_raw) feature maps whose rows the
-    models' arrays view, so an in-place update of the stack updates every
-    model, and on a (K, 1, 1) gamma (0.0 when every gamma is 0). An arm that
-    diverges drops out with its error, and the others are stacked again.
+    A lone model trains on its own 2-D arrays. K > 1 models train on
+    (K, C, n) weights and (K, n, n_raw) feature maps whose rows the models'
+    arrays then view, so an update of the stack updates every model.
     """
-
-    def __init__(self, models: list[LinearSoftmaxModel], gammas: list[float]):
-        self.models = models
-        self.gammas = gammas
-        self.arms = list(range(len(models)))
-        self.failures: dict[int, DivergenceError] = {}
-        self._restack()
-
-    def _restack(self) -> None:
-        models = [self.models[k] for k in self.arms]
-        if len(models) == 1:
-            self.weights, self.feature_map = models[0].weights, models[0].feature_map
-            self.gamma = self.gammas[self.arms[0]]
-            return
-        self.weights = np.stack([m.weights for m in models])
-        for model, weights in zip(models, self.weights):
-            model.weights = weights
-        self.feature_map = None
-        if models[0].feature_map is not None:
-            self.feature_map = np.stack([m.feature_map for m in models])
-            for model, feature_map in zip(models, self.feature_map):
-                model.feature_map = feature_map
-        gammas = [self.gammas[k] for k in self.arms]
-        self.gamma = np.array(gammas)[:, None, None] if any(gammas) else 0.0
-
-    def drop(self, failures: dict[int, DivergenceError]) -> None:
-        self.failures.update(failures)
-        self.arms = [k for k in self.arms if k not in failures]
-        if self.arms:
-            self._restack()
-
-    @property
-    def settled(self) -> bool:
-        """Whether the error to raise is known: no arm before the first failure still trains."""
-        return bool(self.failures) and (not self.arms or min(self.failures) < self.arms[0])
-
-    def take(self, raw: np.ndarray, rows: np.ndarray, labels: np.ndarray, epoch: int, batch: int):
-        """(features, probabilities, ln p and entropies, per-arm CE and entropy sums) of a batch.
-
-        An arm whose logits or loss stop being finite drops out with the error
-        its solo run raises, and the batch is taken again for the others.
-        None once the error to raise is settled.
-        """
-        m = labels.shape[0]
-        while not self.settled:
-            try:
-                phi, p = _forward(self.weights, self.feature_map, raw)
-            except NonFiniteError as err:
-                self.drop(self._forward_failures(raw, err, epoch, batch))
-                continue
-            terms = _log_entropies(p)
-            # the batch means are these sums over m, as np.mean takes them; the
-            # label entries of ln max(p, PROB_FLOOR) are what _label_ce negates.
-            # Each arm's sum runs over one C-contiguous row (the gather lays a
-            # stack's rows out strided), so it adds in the order of a solo sum.
-            ce = np.add.reduce(np.negative(terms[0][..., rows, labels], order="C"), axis=-1)
-            h = np.add.reduce(terms[1], axis=-1)
-            ce, h = (ce.tolist(), h.tolist()) if ce.ndim else ([float(ce)], [float(h)])
-            failed = {
-                k: _diverged("loss", epoch, batch, k)
-                for k, c, e in zip(self.arms, ce, h)
-                if not math.isfinite(c / m - self.gammas[k] * (e / m))
-            }
-            if not failed:
-                return phi, p, terms, ce, h
-            self.drop(failed)
-        return None
-
-    def _forward_failures(self, raw, err, epoch, batch) -> dict[int, DivergenceError]:
-        """The arms whose own forward pass of ``raw`` fails, with their solo errors."""
-        failures = {}
-        for k in self.arms:
-            model = self.models[k]
-            try:
-                _forward(model.weights, model.feature_map, raw)
-            except NonFiniteError as own:
-                failures[k] = _diverged("parameters", epoch, batch, k, own)
-        if not failures:  # the stack's rows have each arm's bits, so one of them fails
-            raise err
-        return failures
+    if len(models) == 1:
+        return models[0].weights, models[0].feature_map
+    weights = np.stack([m.weights for m in models])
+    feature_map = None
+    if models[0].feature_map is not None:
+        feature_map = np.stack([m.feature_map for m in models])
+    for k, model in enumerate(models):
+        model.weights = weights[k]
+        if feature_map is not None:
+            model.feature_map = feature_map[k]
+    return weights, feature_map
 
 
 def train(
@@ -421,10 +345,10 @@ def train_stack(
     every ``TrainConfig`` field but ``gamma``, and their models share shapes.
     Returns each arm's (model, history), in order, bit for bit what ``train``
     returns for that arm alone. Every arm's inputs are checked before any
-    trains. An arm that diverges drops out and the others go on; then the
-    DivergenceError of the first diverged arm is raised, with the message,
-    epoch and batch of its solo run and its index as ``arm``. Training stops
-    early once no arm before that one still trains.
+    trains. If any arm diverges, the stack stops there and the arms are
+    trained again alone, in order, from their untouched inputs; the first
+    solo DivergenceError is raised, with its index as ``arm``, so the error
+    is the one the arms would raise trained one after the other.
     """
     if not models or len(models) != len(configs):
         raise ShapeError(f"need one config per model, got {len(models)} and {len(configs)}")
@@ -439,12 +363,37 @@ def train_stack(
         raise ShapeError(f"stacked models must share their shapes, got {sorted(shapes, key=str)}")
     if train_set.size == 0:
         raise ShapeError("training set is empty")
-    model = models[0]
-    _check_labels(train_set, model.class_count)
-    has_val = val_set is not None and val_set.size > 0
-    if has_val:
-        _check_labels(val_set, model.class_count)
+    _check_labels(train_set, models[0].class_count)
+    if val_set is not None and val_set.size > 0:
+        _check_labels(val_set, models[0].class_count)
+    # the loop checks finiteness itself, so a diverging arm's overflow is no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _sgd(models, train_set, val_set, configs, val_metrics)
+        except DivergenceError as stacked:
+            if len(models) == 1:
+                raise
+            # every stacked arm has the bits of its solo run, so one of these raises
+            for k, (model, arm_config) in enumerate(zip(models, configs)):
+                try:
+                    _sgd([model], train_set, val_set, [arm_config], val_metrics)
+                except DivergenceError as err:
+                    err.arm = k
+                    raise err from None
+            raise stacked
+
+
+def _sgd(
+    models: list[LinearSoftmaxModel],
+    train_set: LabeledDataset,
+    val_set: LabeledDataset | None,
+    configs: list[TrainConfig],
+    val_metrics: bool,
+) -> list[tuple[LinearSoftmaxModel, TrainHistory]]:
+    """``train_stack``'s SGD loop on copies of checked inputs; raises at the first divergence."""
     models = [m.copy() for m in models]
+    model, config = models[0], configs[0]
+    has_val = val_set is not None and val_set.size > 0
     gammas = [c.gamma if c.objective == "maxent" else 0.0 for c in configs]
     use_lsr = config.objective == "lsr"
     decay = config.weight_decay
@@ -462,79 +411,81 @@ def train_stack(
                 raise NonFiniteError("logits must be finite")
         return EpochRecord(epoch, train_ce, train_h, vce, vacc, arm.w_l2(), arm.w_inf(), lr)
 
-    # the loop checks finiteness itself, so a diverging arm's overflow is no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        # both sets are checked for shape and finiteness once, here, so the SGD
-        # steps and the per-epoch records below skip that check
-        starts = []
-        for m in models:
-            p0 = predict_proba_batch(m, train_set.features)
-            ce0, h0 = _label_ce(p0, train_set.labels), entropy_batch(p0)
-            starts.append((float(ce0.mean()), float(h0.mean())))
-        val_x = _checked_batch(model, val_set.features) if has_val else None
-        val_logits = np.empty((val_set.size, model.class_count)) if has_val else None
-        # max |x| per raw column, the input side of every divergence-only record's bound
-        val_reach = np.maximum.reduce(np.abs(val_x), axis=0) if has_val else None
-        lr0 = config.lr.value(0, config.epochs)
-        histories = [[record(m, 0, ce0, h0, lr0)] for m, (ce0, h0) in zip(models, starts)]
+    # both sets are checked for shape and finiteness once, here, so the SGD
+    # steps and the per-epoch records below skip that check
+    starts = []
+    for m in models:
+        p0 = predict_proba_batch(m, train_set.features)
+        ce0, h0 = _label_ce(p0, train_set.labels), entropy_batch(p0)
+        starts.append((float(ce0.mean()), float(h0.mean())))
+    val_x = _checked_batch(model, val_set.features) if has_val else None
+    val_logits = np.empty((val_set.size, model.class_count)) if has_val else None
+    # max |x| per raw column, the input side of every divergence-only record's bound
+    val_reach = np.maximum.reduce(np.abs(val_x), axis=0) if has_val else None
+    lr0 = config.lr.value(0, config.epochs)
+    histories = [[record(m, 0, ce0, h0, lr0)] for m, (ce0, h0) in zip(models, starts)]
 
-        stack = _Stack(models, gammas)
-        n, size = train_set.size, config.batch_size
-        batch_rows = np.arange(min(n, size))
-        for epoch in range(config.epochs):
-            lr = config.lr.value(epoch, config.epochs)
-            perm = derive_rng(config.seed, SHUFFLE, epoch).permutation(n)
-            # one gather per epoch: each batch is a contiguous slice of the shuffled set
-            x_epoch, y_epoch = train_set.features[perm], train_set.labels[perm]
-            ce_sum = [0.0] * len(models)
-            h_sum = [0.0] * len(models)
-            for batch_idx, start in enumerate(range(0, n, size)):
-                x_raw = x_epoch[start : start + size]
-                y = y_epoch[start : start + size]
-                step = stack.take(x_raw, batch_rows[: y.shape[0]], y, epoch + 1, batch_idx)
-                if step is None:
-                    break
-                phi, p, terms, batch_ce, batch_h = step
-                for k, c, e in zip(stack.arms, batch_ce, batch_h):
-                    ce_sum[k] += c
-                    h_sum[k] += e
-                if use_lsr:
-                    g = p - smoothed_targets(y, model.class_count, config.lsr_epsilon)
-                else:
-                    g = logit_gradient(p, y, stack.gamma, terms=terms)
-                feature_map = stack.feature_map if train_a else None
-                grad_w, grad_a = _param_grads(stack.weights, feature_map, x_raw, phi, g)
-                # without decay the sum grad + 0 * param is grad: a finite parameter
-                # moves by the same bits either way
-                if train_a:
-                    if decay:
-                        grad_a += decay * feature_map
-                    feature_map -= lr * grad_a
+    weights, feature_map = _stacked(models)
+    # one gamma per arm for the loss; a stack's gradient takes them as (K, 1, 1)
+    if len(models) == 1:
+        gamma = loss_gamma = gammas[0]
+    else:
+        loss_gamma = np.array(gammas)
+        gamma = loss_gamma[:, None, None] if any(gammas) else 0.0
+    n, size = train_set.size, config.batch_size
+    batch_rows = np.arange(min(n, size))
+    for epoch in range(config.epochs):
+        lr = config.lr.value(epoch, config.epochs)
+        perm = derive_rng(config.seed, SHUFFLE, epoch).permutation(n)
+        # one gather per epoch: each batch is a contiguous slice of the shuffled set
+        x_epoch, y_epoch = train_set.features[perm], train_set.labels[perm]
+        ce_sum = h_sum = 0.0  # per-arm sums of the batch sums: scalars alone, (K,) stacked
+        for batch_idx, start in enumerate(range(0, n, size)):
+            x_raw = x_epoch[start : start + size]
+            y = y_epoch[start : start + size]
+            m = y.shape[0]
+            try:
+                phi, p = _forward(weights, feature_map, x_raw)
+            except NonFiniteError as err:
+                raise _diverged("parameters", epoch + 1, batch_idx, err) from None
+            terms = _log_entropies(p)
+            # the batch means are these sums over m, as np.mean takes them; the
+            # label entries of ln max(p, PROB_FLOOR) are what _label_ce negates.
+            # Each arm's sum runs over one C-contiguous row (the gather lays a
+            # stack's rows out strided), so it adds in the order of a solo sum.
+            ce = np.add.reduce(np.negative(terms[0][..., batch_rows[:m], y], order="C"), axis=-1)
+            h = np.add.reduce(terms[1], axis=-1)
+            if not np.isfinite(ce / m - loss_gamma * (h / m)).all():
+                raise _diverged("loss", epoch + 1, batch_idx)
+            ce_sum += ce
+            h_sum += h
+            if use_lsr:
+                g = p - smoothed_targets(y, model.class_count, config.lsr_epsilon)
+            else:
+                g = logit_gradient(p, y, gamma, terms=terms)
+            grad_w, grad_a = _param_grads(weights, feature_map if train_a else None, x_raw, phi, g)
+            # without decay the sum grad + 0 * param is grad: a finite parameter
+            # moves by the same bits either way
+            if train_a:
                 if decay:
-                    grad_w += decay * stack.weights
-                stack.weights -= lr * grad_w
-            if stack.settled:
-                break
-            failed = {}
-            for k in stack.arms:
-                m = models[k]
-                # the epoch's last update may have overflowed: without a validation
-                # set no forward pass would see it before the model is returned
-                if not np.isfinite(m.weights).all() or (
-                    train_a and not np.isfinite(m.feature_map).all()
-                ):
-                    failed[k] = _diverged("parameters", epoch + 1, batch_idx, k)
-                    continue
-                try:
-                    histories[k].append(record(m, epoch + 1, ce_sum[k] / n, h_sum[k] / n, lr))
-                except NonFiniteError as err:  # finite parameters whose logits overflow
-                    failed[k] = _diverged("parameters", epoch + 1, batch_idx, k, err)
-            if failed:
-                stack.drop(failed)
-            if stack.settled:
-                break
-    if stack.failures:
-        raise stack.failures[min(stack.failures)]
+                    grad_a += decay * feature_map
+                feature_map -= lr * grad_a
+            if decay:
+                grad_w += decay * weights
+            weights -= lr * grad_w
+        train_ce = np.atleast_1d(ce_sum / n).tolist()
+        train_h = np.atleast_1d(h_sum / n).tolist()
+        for arm, history, ce_k, h_k in zip(models, histories, train_ce, train_h):
+            # the epoch's last update may have overflowed: without a validation
+            # set no forward pass would see it before the model is returned
+            if not np.isfinite(arm.weights).all() or (
+                train_a and not np.isfinite(arm.feature_map).all()
+            ):
+                raise _diverged("parameters", epoch + 1, batch_idx)
+            try:
+                history.append(record(arm, epoch + 1, ce_k, h_k, lr))
+            except NonFiniteError as err:  # finite parameters whose logits overflow
+                raise _diverged("parameters", epoch + 1, batch_idx, err) from None
     return [(m, TrainHistory(records)) for m, records in zip(models, histories)]
 
 

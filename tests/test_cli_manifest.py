@@ -1,5 +1,6 @@
 """CLI surface, artifact sessions, manifests, and the report merge."""
 
+import json
 import os
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from maxentlab.configio import parse_config
 from maxentlab.csvio import csv_text, format_cell, read_csv
 from maxentlab.errors import IoError, ManifestError
 from maxentlab.figures import run_train
-from maxentlab.manifest import ArtifactSession, load_manifest
+from maxentlab.manifest import ArtifactSession, load_manifest, sha256_file
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -540,6 +541,33 @@ class TestReport:
         (tmp_path / "f" / "summary.csv").write_text("tampered\n")
         assert main(["report", str(man), "--out", str(tmp_path / "rep")]) == 1
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, damage", [(0, "val_acc"), (1, "val_acc"), (1, "width")])
+    def test_malformed_summary_row_is_an_error(self, quick_cfg_path, tmp_path, capsys, row, damage):
+        man = self._run_figure(quick_cfg_path, tmp_path / "f")
+        summary = tmp_path / "f" / "summary.csv"
+        header, rows = read_csv(summary)
+        if damage == "val_acc":
+            rows[row][header.index("val_acc")] = "n/a"
+            message = "val_acc 'n/a' is not a number"
+        else:
+            rows[row].pop()
+            message = f"has {len(header) - 1} cells, not {len(header)}"
+        summary.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]))
+        # the manifest is rewritten to match, so it still verifies
+        doc = json.loads(man.read_text())
+        for art in doc["artifacts"]:
+            if art["path"] == "summary.csv":
+                art["sha256"], art["bytes"] = sha256_file(summary), summary.stat().st_size
+        man.write_text(json.dumps(doc))
+        load_manifest(man, verify=True)
+        rep = tmp_path / "rep"
+        capsys.readouterr()
+        assert main(["report", str(man), "--out", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"{summary}: line {row + 2}" in err and message in err
+        assert not rep.exists()
 
     @pytest.mark.parametrize(
         "entry", ['{"path": "a.csv"}', '{"sha256": "00"}', '"a.csv"', '{"path": 1, "sha256": "00"}']

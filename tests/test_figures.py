@@ -402,6 +402,32 @@ def test_stacked_arms_write_the_bytes_of_solo_arms(tmp_path, monkeypatch, kind, 
     assert stacked == solo
 
 
+@pytest.mark.parametrize("train_feature_map", [False, True])
+def test_stack_groups_are_runs_of_consecutive_arms(train_feature_map):
+    import maxentlab.figures as figures
+
+    flag = "true" if train_feature_map else "false"
+    cfg = parse_config(SMALL.replace("[sweep]", f"train_feature_map = {flag}\n[sweep]"))
+    for kind, (arms_at_seed, _) in figures.PIPELINES.items():
+        if kind == "spectrum" and not train_feature_map:
+            continue  # the spectrum figure rejects an untrained feature map
+        arms = [figures.ArmSpec(kind, 1, **arm) for arm in arms_at_seed(cfg)]
+        groups = figures._stack_groups(cfg, arms)
+        # the groups train in turn, so the first error is that of the first diverging arm
+        assert [i for group in groups for i in group] == list(range(len(arms))), kind
+        assert all(groups), kind
+        if not train_feature_map:
+            assert all(len(group) == 1 for group in groups), kind
+            continue
+        keys = [
+            {(arms[i].noise_fraction, arms[i].data_fraction, arms[i].objective) for i in group}
+            for group in groups
+        ]
+        assert all(len(key) == 1 for key in keys), kind
+        # arms that could stack are adjacent in every grid, so none trains apart
+        assert len(set().union(*keys)) == len(groups), kind
+
+
 def solo_error(cfg, gamma: float) -> tuple[str, tuple[int, int]]:
     """The error line of the spectrum arm at ``gamma`` trained alone, as the grid reports it."""
     import maxentlab.figures as figures

@@ -648,6 +648,11 @@ def stack_arms(gammas, feature_map, objective, weight_decay, seed0=10):
     return models, configs
 
 
+def param_bytes(models):
+    """Each model's weights and feature map as bytes."""
+    return [(m.weights.tobytes(), m.feature_map.tobytes()) for m in models]
+
+
 def assert_same_run(stacked, solo):
     (model, history), (ref_model, ref_history) = stacked, solo
     assert model.weights.tobytes() == ref_model.weights.tobytes()
@@ -715,6 +720,7 @@ class TestTrainStack:
         ds, val = three_class_sets()
         models, configs = stack_arms([0.0, 1.0, HUGE_GAMMA], "trained", "maxent", 0.0)
         configs = [dataclasses.replace(c, lr=LrSchedule("constant", 1e200)) for c in configs]
+        before = param_bytes(models)
         solo = [self.solo_error(m, ds, val, c) for m, c in zip(models, configs)]
         assert (solo[2].epoch, solo[2].batch) == (1, 0) < (solo[0].epoch, solo[0].batch)
         with pytest.raises(DivergenceError) as err:
@@ -726,13 +732,17 @@ class TestTrainStack:
         with pytest.raises(DivergenceError) as err:
             train_stack(models[1:], ds, val, configs[1:], val_metrics=False)
         assert str(err.value) == str(solo[1])
+        # the solo replay trains the inputs as they were given
+        assert param_bytes(models) == before
 
     @pytest.mark.filterwarnings("error")
     def test_a_later_arm_diverging_alone_raises_its_solo_error(self):
         ds, val = three_class_sets()
         models, configs = stack_arms([0.0, HUGE_GAMMA, 0.5], "trained", "maxent", 0.0)
+        before = param_bytes(models)
         solo = self.solo_error(models[1], ds, val, configs[1])
         with pytest.raises(DivergenceError) as err:
             train_stack(models, ds, val, configs, val_metrics=False)
         assert str(err.value) == str(solo)
         assert (err.value.epoch, err.value.batch, err.value.arm) == (solo.epoch, solo.batch, 1)
+        assert param_bytes(models) == before
