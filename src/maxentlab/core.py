@@ -106,13 +106,13 @@ class LinearSoftmaxModel:
 
     def w_l2(self) -> float:
         """sqrt(sum_i ||w_i||^2), the Frobenius norm of W."""
-        return _norm_without_overflow(lambda w: float(np.linalg.norm(w)), self.weights)
+        with np.errstate(over="ignore"):
+            return _norm_without_overflow(_frobenius, self.weights)
 
     def w_inf(self) -> float:
         """max_i ||w_i||_2 over class rows."""
-        return _norm_without_overflow(
-            lambda w: float(np.sqrt((w**2).sum(axis=1).max())), self.weights
-        )
+        with np.errstate(over="ignore"):
+            return _norm_without_overflow(_max_row_norm, self.weights)
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         """Apply the feature map to a batch of raw rows."""
@@ -125,14 +125,23 @@ class LinearSoftmaxModel:
         return LinearSoftmaxModel(self.weights.copy(), fm)
 
 
+def _frobenius(w: np.ndarray) -> float:
+    return float(np.linalg.norm(w))
+
+
+def _max_row_norm(w: np.ndarray) -> float:
+    return float(np.sqrt((w**2).sum(axis=1).max()))
+
+
 def _norm_without_overflow(norm, w: np.ndarray) -> float:
     """``norm(w)``, or m * norm(w / m) with m = max |w| where the squares of ``w`` overflow.
 
-    On a model's small weight matrix, entering ``np.errstate`` costs about as
-    much as finding max |w| would, so no test of max |w| comes first.
+    The caller holds ``np.errstate(over="ignore")``: the model's norm methods
+    enter one, and the trainer's records run inside its loop's. On a model's
+    small weight matrix that costs about as much as finding max |w| would, so
+    no test of max |w| comes first.
     """
-    with np.errstate(over="ignore"):
-        value = norm(w)
+    value = norm(w)
     if math.isinf(value):
         m = float(np.abs(w).max())
         value = m * norm(w / m)
@@ -478,17 +487,27 @@ def logit_gradient(
 
     g = (p - y) + (gamma p)(ln p + H). ``terms`` is ``_log_entropies(p)``
     when the caller already holds it, as the SGD step does, so the batch's
-    ln p is taken once; it is read, not modified. A (K, N, C) stack of
-    probabilities takes one gamma per batch as a (K, 1, 1) array; a batch
-    whose gamma is 0 there adds (0 p)(ln p + H) = +-0 to entries that are
-    never -0, which leaves their bits alone.
+    ln p is taken once; it is read, not modified. p - y subtracts the labels'
+    rows of a cached identity matrix: p - 0.0 is p, and the label entry is
+    the one subtraction p - 1.0. A (K, N, C) stack of probabilities
+    broadcasts the (N, C) one-hot rows over its K batches, and takes one
+    gamma per batch as a (K, 1, 1) array; a batch whose gamma is 0 there adds
+    (0 p)(ln p + H) = +-0 to entries that are never -0, which leaves their
+    bits alone.
     """
-    g = p.copy()
-    g[..., np.arange(labels.shape[0]), labels] -= 1.0
+    g = p - _identity(p.shape[-1])[labels]
     if isinstance(gamma, np.ndarray) or gamma != 0.0:
         log_p, h = _log_entropies(p) if terms is None else terms
         g += gamma * p * (log_p + h[..., None])
     return g
+
+
+@functools.cache
+def _identity(classes: int) -> np.ndarray:
+    """The read-only C x C identity matrix, whose rows are the one-hot labels."""
+    eye = np.eye(classes)
+    eye.flags.writeable = False
+    return eye
 
 
 def maxent_gradient(

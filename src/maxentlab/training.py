@@ -37,10 +37,12 @@ Forward passes run through ``core._forward`` and parameter gradients through
 so a full-batch step moves the parameters by exactly ``maxent_gradient``.
 Each batch takes one ln p, through ``core._log_entropies``, for its
 entropy, and ``core.logit_gradient`` reuses it; label-smoothing arms build
-only their own gradient. The validation set is checked once, before record
-0; the per-epoch records pass it straight to ``core._forward``, or only
-through the model's products (``_gemm._linear``) when they check for
-divergence alone and the bounds do not settle it.
+only their own gradient. A batch's CE sum reads its label entries of ln p
+with one flat gather, at offsets i * C + y that each epoch computes once for
+all its batches. The validation set is checked once, before record 0; the
+per-epoch records pass it straight to ``core._forward``, or only through the
+model's products (``_gemm._linear``) when they check for divergence alone
+and the bounds do not settle it.
 
 ``train_stack`` trains K arms that share a training set and every config
 field but gamma in one loop, and ``train`` is its one-arm case. Each batch
@@ -50,12 +52,16 @@ products make each arm's product its own BLAS call, and whose reductions run
 along each arm's own rows. So every arm keeps the bits of its solo run. A
 single arm runs on its model's 2-D arrays, as it always did. The loop stops
 at the first loss or parameter that is not finite, whichever arm it belongs
-to. A lone arm raises that DivergenceError; a stack then trains its arms
-again alone, in order, from their untouched inputs, and raises the first
-solo error, so the message, epoch and batch are those of the arm's solo run.
-Only runs that fail anyway pay for the replay. The loop checks finiteness
-itself, so it runs with numpy's overflow and invalid-value warnings off: a
-diverging arm is reported by its DivergenceError alone.
+to. The forward pass finds the probabilities finite, so a batch's CE is at
+most -ln PROB_FLOOR a row and its entropy lies in [0, ln C]: its loss can
+only overflow once some arm's gamma ln C reaches ``_OVERFLOW_SAFE``, and
+only such runs check it per batch. A lone arm raises that DivergenceError;
+a stack then trains its arms again alone, in order, from their untouched
+inputs, and raises the first solo error, so the message, epoch and batch are
+those of the arm's solo run. Only runs that fail anyway pay for the replay.
+The loop checks finiteness itself, so it runs with numpy's overflow and
+invalid-value warnings off (the epoch records' norms and logit bounds run
+inside that too): a diverging arm is reported by its DivergenceError alone.
 """
 
 from __future__ import annotations
@@ -72,8 +78,12 @@ from .core import (
     _check_labels,
     _checked_batch,
     _forward,
+    _frobenius,
     _label_ce,
+    _log_class_count,
     _log_entropies,
+    _max_row_norm,
+    _norm_without_overflow,
     _param_grads,
     entropy_batch,
     logit_gradient,
@@ -277,13 +287,13 @@ def _logits_bounded(model: LinearSoftmaxModel, reach: np.ndarray) -> bool:
     |phi| <= |A| reach and |W phi| <= |W| (|A| reach) elementwise, so bounds
     below ``_OVERFLOW_SAFE`` prove the validation logits finite. The features
     are bounded too: a huge feature map under tiny weights overflows them
-    first. Bounds that overflow (inf, or nan from 0 * inf) prove nothing.
+    first. Bounds that overflow (inf, or nan from 0 * inf) prove nothing; the
+    caller, the SGD loop, holds the ``np.errstate`` that keeps them quiet.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        features = reach if model.feature_map is None else np.abs(model.feature_map) @ reach
-        if not np.maximum.reduce(features) < _OVERFLOW_SAFE:
-            return False
-        return bool(np.maximum.reduce(np.abs(model.weights) @ features) < _OVERFLOW_SAFE)
+    features = reach if model.feature_map is None else np.abs(model.feature_map) @ reach
+    if not np.maximum.reduce(features) < _OVERFLOW_SAFE:
+        return False
+    return bool(np.maximum.reduce(np.abs(model.weights) @ features) < _OVERFLOW_SAFE)
 
 
 def _diverged(what: str, epoch: int, batch: int, err: Exception | None = None) -> DivergenceError:
@@ -345,7 +355,9 @@ def train_stack(
     every ``TrainConfig`` field but ``gamma``, and their models share shapes.
     Returns each arm's (model, history), in order, bit for bit what ``train``
     returns for that arm alone. Every arm's inputs are checked before any
-    trains. If any arm diverges, the stack stops there and the arms are
+    trains. The loss of every batch is checked only when some arm's
+    gamma ln C is not below ``_OVERFLOW_SAFE``; below it no loss can
+    overflow. If any arm diverges, the stack stops there and the arms are
     trained again alone, in order, from their untouched inputs; the first
     solo DivergenceError is raised, with its index as ``arm``, so the error
     is the one the arms would raise trained one after the other.
@@ -409,7 +421,10 @@ def _sgd(
             logits = _linear(arm.transform(val_x), arm.weights, val_logits)
             if not np.isfinite(logits).all():
                 raise NonFiniteError("logits must be finite")
-        return EpochRecord(epoch, train_ce, train_h, vce, vacc, arm.w_l2(), arm.w_inf(), lr)
+        # the model's w_l2 and w_inf, inside this loop's np.errstate
+        w_l2 = _norm_without_overflow(_frobenius, arm.weights)
+        w_inf = _norm_without_overflow(_max_row_norm, arm.weights)
+        return EpochRecord(epoch, train_ce, train_h, vce, vacc, w_l2, w_inf, lr)
 
     # both sets are checked for shape and finiteness once, here, so the SGD
     # steps and the per-epoch records below skip that check
@@ -432,13 +447,19 @@ def _sgd(
     else:
         loss_gamma = np.array(gammas)
         gamma = loss_gamma[:, None, None] if any(gammas) else 0.0
+    # the loss can only overflow once gamma ln C does (see the module docstring)
+    check_loss = not max(gammas) * _log_class_count(model.class_count) < _OVERFLOW_SAFE
     n, size = train_set.size, config.batch_size
-    batch_rows = np.arange(min(n, size))
+    # ln p of a batch flattened to its m * C entries (one row of them per arm):
+    # row i's label entry sits at i * C + y
+    flat_shape = (-1,) if len(models) == 1 else (len(models), -1)
+    slots = np.arange(n) % size * model.class_count
     for epoch in range(config.epochs):
         lr = config.lr.value(epoch, config.epochs)
         perm = derive_rng(config.seed, SHUFFLE, epoch).permutation(n)
         # one gather per epoch: each batch is a contiguous slice of the shuffled set
         x_epoch, y_epoch = train_set.features[perm], train_set.labels[perm]
+        label_entries = slots + y_epoch
         ce_sum = h_sum = 0.0  # per-arm sums of the batch sums: scalars alone, (K,) stacked
         for batch_idx, start in enumerate(range(0, n, size)):
             x_raw = x_epoch[start : start + size]
@@ -449,15 +470,17 @@ def _sgd(
             except NonFiniteError as err:
                 raise _diverged("parameters", epoch + 1, batch_idx, err) from None
             terms = _log_entropies(p)
-            # the batch means are these sums over m, as np.mean takes them; the
-            # label entries of ln max(p, PROB_FLOOR) are what _label_ce negates.
-            # Each arm's sum runs over one C-contiguous row (the gather lays a
-            # stack's rows out strided), so it adds in the order of a solo sum.
-            ce = np.add.reduce(np.negative(terms[0][..., batch_rows[:m], y], order="C"), axis=-1)
+            # the batch means are these sums over m, as np.mean takes them. The
+            # take gives each arm one C-contiguous row of its label entries of
+            # ln max(p, PROB_FLOOR), so a stacked arm's sum adds in its solo
+            # order. Minus that sum is the CE sum bit for bit (rounding is
+            # symmetric under negation), so the epoch's CE subtracts it.
+            entries = label_entries[start : start + size]
+            log_py = np.add.reduce(terms[0].reshape(flat_shape).take(entries, axis=-1), axis=-1)
             h = np.add.reduce(terms[1], axis=-1)
-            if not np.isfinite(ce / m - loss_gamma * (h / m)).all():
+            if check_loss and not np.isfinite(-log_py / m - loss_gamma * (h / m)).all():
                 raise _diverged("loss", epoch + 1, batch_idx)
-            ce_sum += ce
+            ce_sum -= log_py
             h_sum += h
             if use_lsr:
                 g = p - smoothed_targets(y, model.class_count, config.lsr_epsilon)

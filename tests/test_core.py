@@ -208,10 +208,11 @@ class TestStepTerms:
         scale=st.sampled_from([0.0, 1.0, 30.0, 800.0]),
         gamma=st.just(0.0) | st.floats(1e-3, 10.0),
         seed=st.integers(0, 2**32),
+        arms=st.integers(2, 4),
     )
-    @example(rows=8, C=10, scale=800.0, gamma=1.0, seed=0)
+    @example(rows=8, C=10, scale=800.0, gamma=1.0, seed=0, arms=2)
     @settings(max_examples=60, deadline=None)
-    def test_shared_log_p_gives_the_separate_formulas(self, rows, C, scale, gamma, seed):
+    def test_shared_log_p_gives_the_separate_formulas(self, rows, C, scale, gamma, seed, arms):
         rng = np.random.default_rng(seed)
         z = rng.normal(scale=scale, size=(rows, C))
         labels = rng.integers(0, C, rows)
@@ -228,6 +229,17 @@ class TestStepTerms:
         assert same_bits(log_p, log_p_before) and same_bits(h, h_before)
         assert same_bits(g, reference_logit_gradient(p, labels, gamma))
         assert same_bits(logit_gradient(p, labels, gamma), g)
+        # a (K, N, C) stack of batches under one label vector, arm 0 at gamma 0:
+        # each arm's slice is that arm's own gradient, bit for bit
+        stack = softmax_batch(rng.normal(scale=scale, size=(arms, rows, C)))
+        gammas = gamma * np.arange(arms)
+        for g in (
+            logit_gradient(stack, labels, gammas[:, None, None], terms=_log_entropies(stack)),
+            logit_gradient(stack, labels, gammas[:, None, None]),
+        ):
+            assert g.shape == stack.shape
+            for k in range(arms):
+                assert same_bits(g[k], reference_logit_gradient(stack[k], labels, gammas[k]))
 
 
 class TestEntropy:

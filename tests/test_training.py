@@ -1,8 +1,10 @@
 """SGD trainer: determinism, reductions, noise injection, telemetry."""
 
 import dataclasses
+import functools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxentlab._streams import SHUFFLE, derive_rng
+from maxentlab.configio import parse_config, resolve_mixture
 from maxentlab.core import PROB_FLOOR, LinearSoftmaxModel, _linear, maxent_gradient, predict_proba
 from maxentlab.datasets import LabeledDataset
 from maxentlab.errors import (
@@ -19,6 +22,7 @@ from maxentlab.errors import (
     ShapeError,
     ValidationError,
 )
+from maxentlab.figures import make_datasets
 from maxentlab.mixtures import GaussianMixture, sample
 from maxentlab.training import (
     EpochRecord,
@@ -746,3 +750,57 @@ class TestTrainStack:
         assert str(err.value) == str(solo)
         assert (err.value.epoch, err.value.batch, err.value.arm) == (solo.epoch, solo.batch, 1)
         assert param_bytes(models) == before
+
+
+# ---------------------------------------------------------------------------
+# The loss check: a batch's CE is at most -ln PROB_FLOOR a row and its
+# entropy at most ln C, so only a gamma whose gamma ln C overflows can make a
+# batch loss non-finite, and only such runs check it per batch
+# ---------------------------------------------------------------------------
+
+
+QUICK_CFG = Path(__file__).resolve().parent.parent / "configs" / "quick.cfg"
+
+
+@functools.cache
+def quick_arm():
+    """configs/quick.cfg's seed-1 datasets, initial model and train config, at five epochs."""
+    cfg = parse_config(QUICK_CFG.read_text(), base_dir=QUICK_CFG.parent)
+    mixture = resolve_mixture(cfg)
+    train_set, val_set = make_datasets(mixture, cfg, 1)
+    model = init_model(mixture.count, mixture.dim, mixture.dim, cfg.train.init_scale, seed=1)
+    return train_set, val_set, model, dataclasses.replace(cfg.train, epochs=5, seed=1)
+
+
+class TestLossCheck:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("val_metrics", [True, False])
+    @pytest.mark.parametrize("gamma", [7.9e307, 1e308])
+    def test_an_overflowing_gamma_fails_the_first_batch(self, gamma, val_metrics):
+        # gamma ln 10 overflows, and so does gamma times the first batch's mean entropy
+        train_set, val_set, model, cfg = quick_arm()
+        cfg = dataclasses.replace(cfg, gamma=gamma)
+        with pytest.raises(DivergenceError) as err:
+            train(model, train_set, val_set, cfg, val_metrics=val_metrics)
+        assert str(err.value) == "non-finite loss at epoch 1, batch 0"
+        assert (err.value.epoch, err.value.batch, err.value.arm) == (1, 0, 0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("val_metrics", [True, False])
+    def test_a_stacked_arm_with_an_overflowing_gamma_fails_alike(self, val_metrics):
+        train_set, val_set, model, cfg = quick_arm()
+        configs = [dataclasses.replace(cfg, gamma=g) for g in (0.0, 1e308)]
+        with pytest.raises(DivergenceError) as err:
+            train_stack([model, model], train_set, val_set, configs, val_metrics=val_metrics)
+        assert str(err.value) == "non-finite loss at epoch 1, batch 0"
+        assert (err.value.epoch, err.value.batch, err.value.arm) == (1, 0, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("val_metrics", [True, False])
+    def test_a_gamma_just_below_the_overflow_trains(self, val_metrics):
+        # 7e307 ln 10 is about 1.6e308: every batch is checked, and no loss overflows
+        train_set, val_set, model, cfg = quick_arm()
+        cfg = dataclasses.replace(cfg, gamma=7e307)
+        _, history = train(model, train_set, val_set, cfg, val_metrics=val_metrics)
+        assert [r.epoch for r in history.records] == list(range(6))
+        assert all(math.isfinite(r.train_ce) and math.isfinite(r.w_l2) for r in history.records)
