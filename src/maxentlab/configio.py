@@ -30,7 +30,9 @@ experiment.
 ``source`` may also be ``fixture_spectrum`` (the trainable-feature-map
 mixture) or ``file:PATH`` pointing at a mixture definition file; a relative
 PATH is taken from the config file's directory, and the parsed config holds
-it as an absolute path:
+it as an absolute path. A mixture file is as strict as a config: a key set
+twice, or a component with both ``cov`` and ``cov_row`` lines, is an error.
+An example:
 
     dim = 2
     [component]
@@ -385,9 +387,16 @@ def resolve_mixture(cfg: ExperimentConfig) -> GaussianMixture:
 
 
 def parse_mixture(text: str) -> GaussianMixture:
+    """The mixture a mixture file defines: a ``dim`` line, then ``[component]`` sections.
+
+    Each key is set at most once, before the first component or within one,
+    and a component's covariance is one ``cov`` line (a scalar or the
+    diagonal) or ``dim`` ``cov_row`` lines, never both.
+    """
     dim = None
     components: list[dict] = []
     current: dict | None = None
+    first_line: dict[str, int] = {}  # the keys of the header, then of the current component
 
     def finish(line_no: int) -> None:
         if current is None:
@@ -406,8 +415,15 @@ def parse_mixture(text: str) -> GaussianMixture:
             if section != "component":
                 raise ValidationError(f"unknown section [{section}] in mixture file", field=section)
             finish(line_no)
-            current = {}
+            current, first_line = {}, {}
             continue
+        other = {"cov": "cov_row", "cov_row": "cov"}.get(key)
+        if other in first_line:
+            where = f"{other} on line {first_line[other]}"
+            raise ParseError(f"a component sets both cov and cov_row ({where})", line_no)
+        if key in first_line and key != "cov_row":
+            raise ParseError(f"{key} is set twice (first on line {first_line[key]})", line_no)
+        first_line.setdefault(key, line_no)
         if current is None:
             if key == "dim":
                 dim = _as_int(value, line_no)

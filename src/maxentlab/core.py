@@ -22,7 +22,10 @@ with H the entropy of p; parameter gradients follow by the chain rule and
 are checked against central finite differences in the test suite. One
 SGD batch takes a single ln p of its probabilities (floored at PROB_FLOOR,
 in ``_log_entropies``): H is -sum p ln p of it, and ``logit_gradient``
-reuses both; the cross-entropy logs only the label probabilities.
+reuses both; the cross-entropy logs only the label probabilities. Each
+quantity has one code path: ``softmax`` is the forward pass's normalisation
+on a copy, ``maxent_loss`` reads the forward pass, and ``expected_entropy_mc``
+is the one-model case of the bounds' estimator, ``_shared_expected_entropies``.
 
 Models are immutable during evaluation; every function here is pure, and
 reductions use numpy's fixed pairwise summation so results do not depend on
@@ -83,10 +86,8 @@ class LinearSoftmaxModel:
         if self.feature_map is not None:
             self.feature_map = np.asarray(self.feature_map, dtype=np.float64)
             if self.feature_map.ndim != 2 or self.feature_map.shape[0] != self.weights.shape[1]:
-                raise ShapeError(
-                    f"feature map must be ({self.weights.shape[1]}, n_raw), "
-                    f"got {None if self.feature_map is None else self.feature_map.shape}"
-                )
+                shape = self.feature_map.shape
+                raise ShapeError(f"feature map must be ({self.feature_dim}, n_raw), got {shape}")
         if not np.isfinite(self.weights).all():
             raise NonFiniteError("model weights must be finite")
         if self.feature_map is not None and not np.isfinite(self.feature_map).all():
@@ -149,17 +150,7 @@ def _norm_without_overflow(norm, w: np.ndarray) -> float:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax of a single logit vector (max subtracted before exp)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(z).all():
-        raise NonFiniteError("logits must be finite")
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def softmax_batch(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a logit batch; ``logits`` itself is left untouched."""
+    """Stable softmax over the last axis of a copy of ``logits``, each row as if alone."""
     return _softmax_rows(np.array(logits, dtype=np.float64))
 
 
@@ -278,9 +269,7 @@ def expected_entropy_mc(
     if draws < MIN_MC_DRAWS:
         raise DomainError(f"draws must be >= {MIN_MC_DRAWS}, got {draws}")
     validate(mixture)
-    h = _sample_entropies(model, mixture, draws, derive_rng(seed, ENTROPY_MC))
-    low, high = float(h.min()), float(h.max())
-    return _clamped_estimate(h.mean(), low, high, float(h.std(ddof=1)), draws)
+    return _shared_expected_entropies([model], mixture, draws, derive_rng(seed, ENTROPY_MC))[0]
 
 
 def _shared_expected_entropies(
@@ -297,7 +286,9 @@ def _shared_expected_entropies(
     correlated. The mixture must be validated. No model's entropies are held:
     each block is reduced at once into the model's count, mean and sum of
     squared deviations (combined across blocks as Chan et al. do), minimum
-    and maximum.
+    and maximum. The mean of a sample lies in its range, so clamping it there
+    removes summation round-off: a constant integrand (minimum == maximum) is
+    estimated exactly, with zero standard error.
     """
     stats = [[0, 0.0, 0.0, math.inf, -math.inf] for _ in models]
 
@@ -317,22 +308,12 @@ def _shared_expected_entropies(
 
     _logit_entropies(models, mixture, draws, rng, reduce)
     return [
-        _clamped_estimate(mean, low, high, math.sqrt(m2 / (draws - 1)), draws)
+        (
+            float(min(max(mean, low), high)),
+            0.0 if low == high else math.sqrt(m2 / (draws - 1)) / math.sqrt(draws),
+        )
         for _, mean, m2, low, high in stats
     ]
-
-
-def _clamped_estimate(
-    mean: float, low: float, high: float, std: float, draws: int
-) -> tuple[float, float]:
-    """(estimate, standard error) of a sample from its mean, range and standard deviation.
-
-    The mean of a sample lies in its range; clamping removes summation
-    round-off, so a constant integrand (low == high) is estimated exactly,
-    with zero standard error.
-    """
-    se = 0.0 if low == high else std / math.sqrt(draws)
-    return float(min(max(mean, low), high)), se
 
 
 # Most draws per logit block: a block's temporaries are (C, _BLOCK) arrays, so
@@ -447,22 +428,16 @@ def _check_labels(dataset: LabeledDataset, class_count: int) -> None:
         )
 
 
-def _loss_terms(
-    model: LinearSoftmaxModel, features: np.ndarray, labels: np.ndarray, gamma: float
-) -> np.ndarray:
-    p = predict_proba_batch(model, features)
-    ce = _label_ce(p, labels)
-    if gamma == 0.0:
-        return ce
-    return ce - gamma * entropy_batch(p)
-
-
 def maxent_loss(model: LinearSoftmaxModel, batch: LabeledDataset, gamma: float) -> float:
     """Mean over the batch of [-ln p_y(x) - gamma H(p(x))]."""
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     _check_labels(batch, model.class_count)
-    value = float(_loss_terms(model, batch.features, batch.labels, gamma).mean())
+    p = predict_proba_batch(model, batch.features)
+    terms = _label_ce(p, batch.labels)
+    if gamma != 0.0:
+        terms = terms - gamma * entropy_batch(p)
+    value = float(terms.mean())
     if not np.isfinite(value):
         raise NonFiniteError(f"loss is not finite: {value}")
     return value

@@ -12,7 +12,7 @@ that train a feature map and share their training rows and objective train
 as one stack through ``training.train_stack``, each with the bits of its
 solo run; every other arm trains alone through ``run_arm``, so the
 benchmark harness, which counts ``run_arm`` and ``train`` calls, still sees
-one of each per arm (see ROADMAP item 2). Diverging arms fail the run with
+one of each per arm (see ROADMAP item 1). Diverging arms fail the run with
 the error of the first of them in grid order, as if the arms had trained one
 after the other.
 ``pc_scatter`` trains nothing: its grid is empty. Every pipeline writes through an ArtifactSession
@@ -507,6 +507,14 @@ def _run_grid(cfg: ExperimentConfig, kind: str, command: str, out_dir: Path, see
     seeds = list(seeds)
     arms_at_seed, reduce = PIPELINES[kind]
     per_seed = arms_at_seed(cfg)
+    # an arm with a feature map reports the spectrum of its validation features,
+    # a covariance that needs two rows: fail before the first arm trains
+    if per_seed and cfg.train.train_feature_map and cfg.val_n < 2:
+        raise ValidationError(
+            f"experiment.val_n must be >= 2 when train.train_feature_map = true"
+            f" (the feature spectrum needs two rows), got {cfg.val_n}",
+            field="experiment.val_n",
+        )
     grid = [[ArmSpec(kind, seed, **arm) for arm in per_seed] for seed in seeds]
     with _open_session(cfg, out_dir, command) as session:
         mixture, results = None, []

@@ -15,22 +15,24 @@ record 0 is the pre-training state. Train-loss telemetry for epoch k >= 1 is
 the size-weighted mean of the per-batch values seen during that epoch (the
 last short batch counts at its true size); a batch's CE is read off the ln p
 its entropy takes. Validation telemetry is what a record stores, validation
-CE and accuracy, taken from one forward pass over the full validation set at
-the end of each epoch; every record of a run writes and normalises its
-validation logits in the same buffer.
+CE and accuracy, taken at the end of each epoch from the one validation
+forward pass, ``core._forward`` over the full validation set, which every
+record of a run writes and normalises in the same logit buffer. The set is
+checked once, before record 0.
 
 With ``val_metrics=False`` a record leaves both fields None and only checks
 that the validation logits are finite, the divergence check the metrics'
 softmax makes: only the pipelines in ``figures.HISTORY_PIPELINES`` write
-these curves, so the other arms skip the softmax, CE and argmax. That check
-first bounds the logits: with r = max |x| per raw column of the validation
-set, taken once per run, every feature is at most |A| r and every logit at
-most |W| (|A| r). While both bounds stay below 1e300 (``_OVERFLOW_SAFE``) no
-logit can overflow, and the record skips the product, a few hundred
-multiply-adds instead of one pass over the set; otherwise it multiplies the
-set as before, so a divergence is reported with the same message, epoch and
-batch. The full ``EvalReport`` (entropy and top-probability statistics)
-comes from ``evaluate``, which the pipelines call once on the trained model.
+these curves, so the other arms skip the CE and argmax. That check first
+bounds the logits: with r = max |x| per raw column of the validation set,
+taken once per run, every feature is at most |A| r and every logit at most
+|W| (|A| r). While both bounds stay below 1e300 (``_OVERFLOW_SAFE``) no
+logit can overflow, and the record skips the forward pass, a few hundred
+multiply-adds instead of one pass over the set; otherwise it takes that
+pass, whose softmax raises on non-finite logits, so a divergence is
+reported with the same message, epoch and batch. The full ``EvalReport``
+(entropy and top-probability statistics) comes from ``evaluate``, which the
+pipelines call once on the trained model.
 
 Forward passes run through ``core._forward`` and parameter gradients through
 ``core._param_grads``, the kernel behind the public loss and gradient API,
@@ -39,10 +41,7 @@ Each batch takes one ln p, through ``core._log_entropies``, for its
 entropy, and ``core.logit_gradient`` reuses it; label-smoothing arms build
 only their own gradient. A batch's CE sum reads its label entries of ln p
 with one flat gather, at offsets i * C + y that each epoch computes once for
-all its batches. The validation set is checked once, before record 0; the
-per-epoch records pass it straight to ``core._forward``, or only through the
-model's products (``_gemm._linear``) when they check for divergence alone
-and the bounds do not settle it.
+all its batches.
 
 ``train_stack`` trains K arms that share a training set and every config
 field but gamma in one loop, and ``train`` is its one-arm case. Each batch
@@ -50,15 +49,17 @@ is taken once for all arms: their weights and feature maps travel as
 (K, C, n) and (K, n, n_raw) stacks through the same kernels, whose 3-D
 products make each arm's product its own BLAS call, and whose reductions run
 along each arm's own rows. So every arm keeps the bits of its solo run. A
-single arm runs on its model's 2-D arrays, as it always did. The loop stops
-at the first loss or parameter that is not finite, whichever arm it belongs
-to. The forward pass finds the probabilities finite, so a batch's CE is at
-most -ln PROB_FLOOR a row and its entropy lies in [0, ln C]: its loss can
-only overflow once some arm's gamma ln C reaches ``_OVERFLOW_SAFE``, and
-only such runs check it per batch. A lone arm raises that DivergenceError;
-a stack then trains its arms again alone, in order, from their untouched
-inputs, and raises the first solo error, so the message, epoch and batch are
-those of the arm's solo run. Only runs that fail anyway pay for the replay.
+single arm runs on its model's 2-D arrays: as a (1, C, n) stack, a
+``fine_sweep.cfg`` arm took 5-14% longer for the same bits (fastest of 15
+runs, seven alternating pairs on 2 vCPUs). The loop stops at the first loss
+or parameter that is not finite, whichever arm it belongs to. The forward pass
+finds the probabilities finite, so a batch's CE is at most -ln PROB_FLOOR a
+row and its entropy lies in [0, ln C]: its loss can only overflow once some
+arm's gamma ln C reaches ``_OVERFLOW_SAFE``, and only such runs check it
+per batch. A lone arm raises that DivergenceError; a stack then trains its
+arms again alone, in order, from their untouched inputs, and raises the
+first solo error, so the message, epoch and batch are those of the arm's
+solo run. Only runs that fail anyway pay for the replay.
 The loop checks finiteness itself, so it runs with numpy's overflow and
 invalid-value warnings off (the epoch records' norms and logit bounds run
 inside that too): a diverging arm is reported by its DivergenceError alone.
@@ -71,7 +72,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gemm import _linear
 from ._streams import INIT, MAX_UNIFORM_SCALE, NOISE, SHUFFLE, derive_rng
 from .core import (
     LinearSoftmaxModel,
@@ -216,10 +216,7 @@ class TrainHistory:
         return self.records[-1]
 
     def csv_rows(self) -> list[tuple]:
-        return [
-            (r.epoch, r.train_ce, r.train_entropy, r.val_ce, r.val_accuracy, r.w_l2, r.w_inf, r.lr)
-            for r in self.records
-        ]
+        return [dataclasses.astuple(r) for r in self.records]
 
 
 HISTORY_CSV_HEADER = "epoch,train_ce,train_entropy,val_ce,val_acc,w_l2,w_inf,lr"
@@ -413,14 +410,11 @@ def _sgd(
 
     def record(arm: LinearSoftmaxModel, epoch: int, train_ce: float, train_h: float, lr: float):
         vce = vacc = None
-        if has_val and val_metrics:
+        if has_val and (val_metrics or not _logits_bounded(arm, val_reach)):
             p = _forward(arm.weights, arm.feature_map, val_x, val_logits)[1]
-            vce = float(_label_ce(p, val_set.labels).mean())
-            vacc = float((p.argmax(axis=1) == val_set.labels).mean())
-        elif has_val and not _logits_bounded(arm, val_reach):
-            logits = _linear(arm.transform(val_x), arm.weights, val_logits)
-            if not np.isfinite(logits).all():
-                raise NonFiniteError("logits must be finite")
+            if val_metrics:
+                vce = float(_label_ce(p, val_set.labels).mean())
+                vacc = float((p.argmax(axis=1) == val_set.labels).mean())
         # the model's w_l2 and w_inf, inside this loop's np.errstate
         w_l2 = _norm_without_overflow(_frobenius, arm.weights)
         w_inf = _norm_without_overflow(_max_row_norm, arm.weights)

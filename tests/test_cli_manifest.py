@@ -405,6 +405,32 @@ class TestCliCommands:
         assert main(["train", "--config", "sub/exp.cfg", "--out", "out"]) == 0
         load_manifest(tmp_path / "out" / "manifest.json")
 
+    def test_mixture_file_setting_a_key_twice_is_an_error(self, tmp_path, capsys):
+        (tmp_path / "two.mix").write_text(
+            "dim = 2\n[component]\nweight = 0.5\nmean = 1 0\ncov = 0.1\n"
+            "[component]\nweight = 0.5\nmean = -1 0\nweight = 0.4\ncov = 0.1\n"
+        )
+        (tmp_path / "exp.cfg").write_text(QUICK + "[mixture]\nsource = file:two.mix\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(tmp_path / "exp.cfg"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 9: weight is set twice (first on line 7)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["train"], ["figure", "spectrum"], ["figure", "gamma_sweep"]])
+    def test_one_validation_row_under_a_feature_map_is_an_error(self, tmp_path, capsys, argv):
+        # each arm's feature spectrum is a covariance of the validation rows
+        body = QUICK.replace("val_n = 100", "val_n = 1").replace(
+            "epochs = 5", "epochs = 5\ntrain_feature_map = true"
+        )
+        p = tmp_path / "cfg.cfg"
+        p.write_text(body)
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment.val_n must be >= 2") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_failure_leaves_no_partial_artifacts(self, tmp_path):
         # spectrum without a trainable feature map is a config error
         p = tmp_path / "cfg.cfg"

@@ -310,6 +310,9 @@ class TestRoundTrip:
         assert parse_config(text).train.gamma == 2.0
 
 
+ONE_COMPONENT = "[component]\nweight = 1.0\nmean = 0 0\ncov = 1\n"
+
+
 class TestMixtureFiles:
     def test_scalar_cov(self):
         text = "dim = 2\n[component]\nweight = 1.0\nmean = 0 0\ncov = 0.5\n"
@@ -343,6 +346,49 @@ class TestMixtureFiles:
     def test_wrong_mean_length(self):
         with pytest.raises(ValidationError):
             parse_mixture("dim = 3\n[component]\nweight = 1\nmean = 0 0\ncov = 1\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("dim = 2\ndim = 2\n" + ONE_COMPONENT, 2, "dim is set twice (first on line 1)"),
+            (
+                "dim = 2\n[component]\nweight = 1\nmean = 0 0\nweight = 1\ncov = 1\n",
+                5,
+                "weight is set twice (first on line 3)",
+            ),
+            (
+                "dim = 2\n[component]\nweight = 1\nmean = 0 0\nmean = 1 1\ncov = 1\n",
+                5,
+                "mean is set twice (first on line 4)",
+            ),
+            (
+                "dim = 2\n[component]\nweight = 1\nmean = 0 0\ncov = 1\ncov = 2\n",
+                6,
+                "cov is set twice (first on line 5)",
+            ),
+            (
+                "dim = 2\n[component]\nweight = 1\nmean = 0 0\ncov = 1\n"
+                "cov_row = 1 0\ncov_row = 0 1\n",
+                6,
+                "both cov and cov_row (cov on line 5)",
+            ),
+            (
+                "dim = 2\n[component]\nweight = 1\nmean = 0 0\ncov_row = 1 0\n"
+                "cov_row = 0 1\ncov = 1\n",
+                7,
+                "both cov and cov_row (cov_row on line 5)",
+            ),
+        ],
+    )
+    def test_key_set_twice(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_mixture(text)
+        assert err.value.line_no == line
+        assert message in str(err.value)
+
+    def test_each_component_sets_its_own_keys(self):
+        mix = parse_mixture("dim = 2\n" + ONE_COMPONENT.replace("1.0", "0.5") * 2)
+        np.testing.assert_array_equal(mix.weights, [0.5, 0.5])
 
     def test_invalid_weights_rejected(self):
         text = (

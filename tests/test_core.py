@@ -28,7 +28,6 @@ from maxentlab.core import (
     predict_proba,
     predict_proba_batch,
     softmax,
-    softmax_batch,
 )
 from maxentlab.datasets import LabeledDataset
 from maxentlab.errors import DomainError, NonFiniteError, ShapeError
@@ -197,7 +196,28 @@ class TestSoftmax:
 
     def test_batch_rejects_nonfinite(self):
         with pytest.raises(NonFiniteError, match="logits must be finite"):
-            softmax_batch(np.array([[0.0, 1.0], [-np.inf, 0.0]]))
+            softmax(np.array([[0.0, 1.0], [-np.inf, 0.0]]))
+
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(2, 12)),
+        scale=st.sampled_from([0.0, 1.0, 30.0, 800.0]),
+        seed=st.integers(0, 2**32),
+        bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_stack_is_the_softmax_of_each_row(self, shape, scale, seed, bad):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(scale=scale, size=shape)
+        z_before = z.copy()
+        p = softmax(z)
+        assert same_bits(z, z_before)
+        assert p.shape == shape
+        for k, i in np.ndindex(*shape[:2]):
+            assert same_bits(p[k, i], softmax(z[k, i]))
+        # one non-finite logit anywhere in the stack is refused
+        z[tuple(int(rng.integers(0, s)) for s in shape)] = bad
+        with pytest.raises(NonFiniteError, match="logits must be finite"):
+            softmax(z)
 
 
 class TestStepTerms:
@@ -217,7 +237,7 @@ class TestStepTerms:
         z = rng.normal(scale=scale, size=(rows, C))
         labels = rng.integers(0, C, rows)
         z_before = z.copy()
-        p = softmax_batch(z)
+        p = softmax(z)
         assert same_bits(z, z_before)
         assert same_bits(p, reference_softmax_batch(z))
         log_p, h = terms = _log_entropies(p)
@@ -231,7 +251,7 @@ class TestStepTerms:
         assert same_bits(logit_gradient(p, labels, gamma), g)
         # a (K, N, C) stack of batches under one label vector, arm 0 at gamma 0:
         # each arm's slice is that arm's own gradient, bit for bit
-        stack = softmax_batch(rng.normal(scale=scale, size=(arms, rows, C)))
+        stack = softmax(rng.normal(scale=scale, size=(arms, rows, C)))
         gammas = gamma * np.arange(arms)
         for g in (
             logit_gradient(stack, labels, gammas[:, None, None], terms=_log_entropies(stack)),
@@ -292,6 +312,31 @@ class TestExpectedEntropyMc:
     def test_min_draws(self):
         with pytest.raises(DomainError):
             expected_entropy_mc(uniform_model(), std_normal_mixture(), 99, seed=0)
+
+    @given(
+        C=st.integers(2, 12),
+        n=st.integers(1, 6),
+        m=st.integers(1, 3),
+        draws=st.integers(100, 20_000),
+        seed=st.integers(0, 2**32),
+        n_raw=st.none() | st.integers(1, 6),
+        zero=st.booleans(),
+    )
+    @example(C=10, n=2, m=2, draws=20_000, seed=1, n_raw=None, zero=False)  # C > n
+    @example(C=10, n=6, m=2, draws=5_000, seed=2, n_raw=5, zero=False)  # feature map
+    @example(C=4, n=3, m=1, draws=500, seed=3, n_raw=None, zero=True)  # constant integrand
+    @settings(max_examples=20, deadline=None)
+    def test_is_the_one_model_shared_estimate(self, C, n, m, draws, seed, n_raw, zero):
+        rng = np.random.default_rng(seed)
+        mix = random_mixture(rng, n if n_raw is None else n_raw, m)
+        weights = np.zeros((C, n)) if zero else rng.normal(size=(C, n))
+        fm = None if n_raw is None else rng.normal(size=(n, n_raw))
+        model = LinearSoftmaxModel(weights, fm)
+        estimate = expected_entropy_mc(model, mix, draws, seed=seed)
+        [shared] = _shared_expected_entropies([model], mix, draws, derive_rng(seed, ENTROPY_MC))
+        assert np.array(estimate).tobytes() == np.array(shared).tobytes()
+        if zero:
+            assert estimate == (math.log(C), 0.0)
 
     @given(
         C=st.integers(2, 12),

@@ -12,7 +12,7 @@ import pytest
 from maxentlab.cli import main
 from maxentlab.configio import parse_config
 from maxentlab.csvio import read_csv
-from maxentlab.errors import DivergenceError
+from maxentlab.errors import DivergenceError, ValidationError
 from maxentlab.figures import (
     FIGURE_KINDS,
     run_bounds_verify,
@@ -463,3 +463,25 @@ def test_stacked_divergence_is_the_first_arm_solo_error(tmp_path, capsys, lr, fi
     assert main(["figure", "spectrum", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == expected
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["train", *FIGURE_KINDS])
+def test_one_validation_row_fails_before_any_feature_map_arm_trains(tmp_path, monkeypatch, kind):
+    # each feature-map arm reports its feature spectrum, a covariance of two or more rows
+    import maxentlab.figures as figures
+
+    trained = []
+    monkeypatch.setattr(figures, "run_arm", lambda *a, **k: trained.append(a))
+    monkeypatch.setattr(figures, "train_stack", lambda *a, **k: trained.append(a))
+    cfg = parse_config(SMALL_SPECTRUM.replace("val_n = 120", "val_n = 1") + "[sweep]\ngammas = 0,1\n")
+    out = tmp_path / "o"
+    if kind == "pc_scatter":
+        run_figure(cfg, kind, out, [1])  # trains nothing, so needs no spectrum
+        return
+    with pytest.raises(ValidationError) as err:
+        if kind == "train":
+            run_train(cfg, out, [1])
+        else:
+            run_figure(cfg, kind, out, [1])
+    assert err.value.field == "experiment.val_n"
+    assert trained == [] and not out.exists()

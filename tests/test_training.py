@@ -513,17 +513,21 @@ def three_class_sets():
 
 
 def count_validation_products(monkeypatch, rows):
-    """Count the ``_linear`` calls of ``train`` over ``rows`` inputs: the validation products."""
-    import maxentlab.training as training
+    """Count the logit products of ``train`` over ``rows`` inputs: the validation forward passes.
+
+    The forward pass writes its logits into the caller's buffer, which the
+    validation records pass as ``out``; a feature-map product takes none.
+    """
+    import maxentlab.core as core
 
     calls = []
 
-    def counting_linear(x, w, *args, **kwargs):
-        if x.shape[0] == rows:
+    def counting_linear(x, w, out=None, **kwargs):
+        if x.shape[0] == rows and out is not None:
             calls.append(x.shape)
-        return _linear(x, w, *args, **kwargs)
+        return _linear(x, w, out, **kwargs)
 
-    monkeypatch.setattr(training, "_linear", counting_linear)
+    monkeypatch.setattr(core, "_linear", counting_linear)
     return calls
 
 
