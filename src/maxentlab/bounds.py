@@ -32,8 +32,16 @@ through its logits V x (V = W A), and the logits of the feature mixture are
 themselves an exact Gaussian mixture in R^C (means V mu_c, covariances
 V Sigma_c V'). Both the expected (reference) entropy and the N-sample
 empirical entropy of a trial are therefore sampled in logit space, never as
-feature vectors. The mixture is validated on entry to ``verify_bounds``, not
-again for each trial's dataset.
+feature vectors. Each draw maps min(C, n) standard normals through a factor
+of V Sigma_c V': its spectral factor for C <= n, and V L_c, with L_c the
+component's own n x n spectral factor, for C > n, so no C x C covariance or
+eigendecomposition is formed however many classes there are. A block of
+draws whose logits are proved within +-300 (from the model's means and
+factor and the block's largest normal) takes its entropies without the
+softmax's max shift; any other block keeps the shift. The guard reads only
+the model and the block, so a trial's rows do not depend on the other
+trials beside it. The mixture is validated on entry to ``verify_bounds``,
+not again for each trial's dataset.
 
 ``verify_bounds`` runs every (kind, N) job of a run in one pass over the
 trials, and ``verify_bound`` is its one-job case. Trial t draws its model

@@ -30,10 +30,14 @@ is the one-model case of the bounds' estimator, ``_shared_expected_entropies``.
 Models are immutable during evaluation; every function here is pure, and
 reductions use numpy's fixed pairwise summation so results do not depend on
 thread count. The forward pass normalises its logits in place (shift, exp
-and divide in one array, which a trainer may reuse across epochs), and the
-Monte-Carlo kernel reuses one set of block buffers per call; both keep every
-float operation and its order, so results are the same bits as with fresh
-temporaries. Every product of inputs with a weight matrix (features, logits
+and divide in one array, which a trainer may reuse across epochs), keeping
+every float operation and its order, so its results are the same bits as
+with fresh temporaries. The Monte-Carlo kernel reuses one set of block
+buffers per call, and it skips the max shift of a block's entropies where a
+guard proves every logit within ``_NO_SHIFT_REACH`` (exp can then neither
+overflow nor underflow); other blocks keep the shift. For C > n it maps its
+normals through V L_c, L_c a component's own spectral factor, so it forms no
+C x C covariance. Every product of inputs with a weight matrix (features, logits
 and Monte-Carlo logit blocks) goes through one kernel, ``_gemm._linear``,
 which writes it in row or column slices small enough that OpenBLAS runs
 each on the calling thread, instead of waking a second BLAS thread that
@@ -56,7 +60,7 @@ from ._gemm import _linear
 from ._streams import ENTROPY_MC, derive_rng
 from .datasets import LabeledDataset
 from .errors import DomainError, NonFiniteError, ShapeError
-from .mixtures import GaussianMixture, _pushforward, spectral_factor, validate
+from .mixtures import GaussianMixture, _congruence, spectral_factor, validate
 
 # Probabilities are floored at this value inside logarithms; exp(-690) level
 # underflow would otherwise produce -inf * 0 artifacts.
@@ -264,7 +268,8 @@ def expected_entropy_mc(
     effective weights V = W A, and the logits of a Gaussian mixture are the
     Gaussian mixture with means V mu_c and covariances V Sigma_c V' in R^C.
     So the draws are taken there directly: no feature vector is formed, and
-    each draw costs min(C, n) normals instead of n (see ``_logit_entropies``).
+    each draw costs min(C, n) normals instead of n (see ``_logit_entropies``
+    and, for the factor when C > n, ``_logit_component``).
     """
     if draws < MIN_MC_DRAWS:
         raise DomainError(f"draws must be >= {MIN_MC_DRAWS}, got {draws}")
@@ -320,6 +325,12 @@ def _shared_expected_entropies(
 # the working set stays a few MB whatever the draw count and component weights.
 _BLOCK = 16384
 
+# Largest proved bound on a block's |logits| at which ``_column_entropies``
+# skips the max shift. exp(+-300) is far inside the normal float64 range (exp
+# overflows above 709.78 and goes subnormal below -708.4), so neither the
+# exponentials nor their column sums can overflow or lose digits to underflow.
+_NO_SHIFT_REACH = 300.0
+
 
 def _sample_entropies(
     model: LinearSoftmaxModel, mixture: GaussianMixture, count: int, rng: np.random.Generator
@@ -346,14 +357,24 @@ def _logit_entropies(
     Each model's mixture is pushed forward through its V = W A, component
     counts come from one multinomial draw, and each component's draws are
     made in blocks: a (k, m) block of standard normals, k = min(C, n), mapped
-    through the model's top-k spectral factor of V Sigma_c V' (whose rank is
-    at most k) and shifted by V mu_c gives m logit columns, reduced to
-    entropies at once. All models map the same counts and blocks, so their
-    V must share one shape. ``sink(k, start, h)`` receives model k's
-    entropies of draws start, start + 1, ... of a block, in draw order,
-    grouped by component, which leaves their mean and spread unchanged; ``h``
-    is the sink's to keep or modify. A model's entropies depend only on the
-    model and the stream, never on the other models.
+    through the model's factor F of V Sigma_c V' (``_logit_component``) and
+    shifted by V mu_c gives m logit columns, reduced to entropies at once.
+    All models map the same counts and blocks, so their V must share one
+    shape. A component's means and factors are formed for every model when
+    the loop reaches the component, so the pass holds one component's, not
+    all m of them. ``sink(k, start, h)`` receives model k's entropies of
+    draws start, start + 1, ... of a block, in draw order, grouped by
+    component, which leaves their mean and spread unchanged; ``h`` is a
+    buffer the next block reuses, the sink's to read or modify but not to
+    keep.
+
+    A block skips the max shift of its entropies (``_column_entropies``)
+    when |mu_i| + sum_j |F_ij| |z_j| <= ``_NO_SHIFT_REACH`` is proved for
+    every logit: max_i |mu_i| + (max_i sum_j |F_ij|) max |z| is at most that
+    bound, with max |z| taken once per block for all models. Whether a block
+    is shifted therefore depends only on the model and the block, and a
+    model's entropies depend only on the model and the stream, never on the
+    other models.
 
     Each block's product is written in column slices (``_linear``): one
     (10 x 10) @ (10 x 16,384) product is large enough for OpenBLAS to split
@@ -363,60 +384,117 @@ def _logit_entropies(
     rank-term dot product in any slice, so the entropies are the same bits as
     with one product per block.
     """
-    pushed = [_logit_mixture(model, mixture) for model in models]
-    shapes = {factors.shape for _, factors in pushed}
-    if len(shapes) > 1:
-        raise ShapeError(f"models that share draws need one logit shape, got {sorted(shapes)}")
-    classes, rank = pushed[0][1].shape[1:]
+    v = _logit_weights(models, mixture)
+    classes, rank = v.shape[1], min(v.shape[1:])
     counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
     # flat buffers shared by every block: a block of m columns views the first
     # rows * m entries, so each view is C-contiguous, as ``standard_normal``
     # needs of its ``out``
     width = min(_BLOCK, int(counts.max()))
     normals = np.empty(rank * width)
-    logits, exps = np.empty(classes * width), np.empty(classes * width)
+    # the exponentials' buffer ends in two rows for a block's column sums
+    logits, exps = np.empty(classes * width), np.empty((classes + 2) * width)
+    sums = exps[classes * width :].reshape(2, width)
     start = 0
     for component, total in enumerate(counts):
+        means, factors, mean_reach, factor_reach = _logit_component(v, mixture, component)
+        columns = means[:, :, None]
         for offset in range(0, total, _BLOCK):
             size = min(_BLOCK, total - offset)
             z = rng.standard_normal(out=normals[: rank * size].reshape(rank, size))
+            z_reach = max(np.maximum.reduce(z, axis=None), -np.minimum.reduce(z, axis=None))
             out = logits[: classes * size].reshape(classes, size)
             e = exps[: classes * size].reshape(classes, size)
-            for k, (means, factors) in enumerate(pushed):
-                block = _linear(z, factors[component], out, columns=True)
-                block += means[component][:, None]
-                sink(k, start, _column_entropies(block, e))
+            work = sums[:, :size]
+            for k in range(len(models)):
+                block = _linear(z, factors[k], out, columns=True)
+                block += columns[k]
+                shift = mean_reach[k] + factor_reach[k] * z_reach > _NO_SHIFT_REACH
+                sink(k, start, _column_entropies(block, e, work, shift))
             start += size
 
 
-def _logit_mixture(
-    model: LinearSoftmaxModel, mixture: GaussianMixture
-) -> tuple[np.ndarray, np.ndarray]:
-    """(means V mu_c, top-min(C, n) spectral factors of V Sigma_c V') of the model's logits."""
-    v = model.weights if model.feature_map is None else model.weights @ model.feature_map
-    if v.shape[1] != mixture.dim:
-        raise ShapeError(f"mixture dim {mixture.dim} does not match model input {v.shape[1]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
-        pushed = _pushforward(mixture, v)
-    if not (np.isfinite(pushed.means).all() and np.isfinite(pushed.covariances).all()):
-        raise NonFiniteError("the mixture's logit means or covariances overflow under the weights")
-    return pushed.means, spectral_factor(pushed.covariances)[:, :, -min(v.shape) :]
+def _logit_weights(models: list[LinearSoftmaxModel], mixture: GaussianMixture) -> np.ndarray:
+    """The (K, C, n) stack of the models' effective weights V = W A, checked against the mixture."""
+    vs = [m.weights if m.feature_map is None else m.weights @ m.feature_map for m in models]
+    shapes = sorted({v.shape for v in vs})
+    if len(shapes) > 1:
+        raise ShapeError(f"models that share draws need one logit shape, got {shapes}")
+    if shapes[0][1] != mixture.dim:
+        raise ShapeError(f"mixture dim {mixture.dim} does not match model input {shapes[0][1]}")
+    return np.stack(vs)
 
 
-def _column_entropies(logits: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """H(softmax(z)) = logsumexp(z) - sum p * z for each column z of a (C, m) block.
+def _logit_component(
+    v: np.ndarray, mixture: GaussianMixture, component: int
+) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
+    """(means, factors, mean reaches, factor reaches) of one component's logits under each V of v.
 
-    Works in place on ``logits`` and uses ``e``, an array of the same shape,
-    for exp(z) and then exp(z) * z. Reductions run over axis 0, which numpy
-    vectorizes across the columns; over short rows they would cost more than
-    the exp.
+    For a (K, C, n) stack of V: the (K, C) means V mu_c and (K, C, min(C, n))
+    factors F with F F' = V Sigma_c V'. For C <= n, F is the spectral factor
+    of that C x C covariance. For C > n, F = V L_c with L_c the component's
+    own n x n spectral factor: the same covariance, at rank n, without a
+    C x C matrix or its ``eigh``. The reaches are each model's max_i |mu_i|
+    and max_i sum_j |F_ij|, for the no-shift guard of ``_logit_entropies``.
+    Means or covariances that overflow raise NonFiniteError; for C > n the
+    covariance's diagonal, the row sums of F * F, stands for it, since it
+    bounds every entry.
     """
-    logits -= logits.max(axis=0)
-    np.exp(logits, out=e)
-    total = e.sum(axis=0)
-    e *= logits
-    h = np.log(total) - e.sum(axis=0) / total
-    return np.clip(h, 0.0, float(np.log(logits.shape[0])))
+    classes, dim = v.shape[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
+        means = v @ mixture.means[component]
+        if classes <= dim:
+            covs = _congruence(v, mixture.covariances[component])
+        else:
+            factors = v @ spectral_factor(mixture.covariances[component])
+            covs = np.einsum("kij,kij->ki", factors, factors)  # the diagonals of F F'
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise NonFiniteError("the mixture's logit means or covariances overflow under the weights")
+    if classes <= dim:
+        factors = spectral_factor(covs)
+    mean_reach = np.maximum.reduce(np.abs(means), axis=-1)
+    factor_reach = np.maximum.reduce(np.add.reduce(np.abs(factors), axis=-1), axis=-1)
+    return means, factors, mean_reach.tolist(), factor_reach.tolist()
+
+
+def _column_entropies(
+    logits: np.ndarray, e: np.ndarray, sums: np.ndarray, shift: bool
+) -> np.ndarray:
+    """H(softmax(z)) = ln sum_i exp(z_i) - sum_i p_i z_i for each column z of a (C, m) block.
+
+    ``e`` (C, m) and ``sums`` (2, m) are the caller's buffers, reused across
+    blocks: ``e`` takes exp(z), and the entropies are written into
+    ``sums[0]`` and returned as that view. Without ``shift`` the caller has
+    proved every |z_i| <= ``_NO_SHIFT_REACH``, so exp(z) is a normal float
+    whose column sums cannot overflow. The kernel takes exp, a column sum,
+    the column dot products ``einsum("ij,ij->j", e, z)``, then log, divide
+    and subtract in place, and no pass over ``logits`` changes it. Its
+    entropies differ from the shifted form's by rounding only, within
+    (6C + 24) eps max(1, max |z|), the two forms' worst cases added (about
+    6e-12 at C = 10 and the bound; random blocks stay within C eps max |z|).
+    With ``shift``, each column first loses its max (in place in
+    ``logits``), which keeps exp in range for any finite logits, and ``e``
+    then holds exp(z) * z for the dot products: the same bits as
+    ``np.clip(np.log(e.sum(0)) - (e * z).sum(0) / e.sum(0), 0, ln C)`` on
+    the shifted z. Reductions run over axis 0, which numpy vectorizes across
+    the columns; over short rows they would cost more than the exp.
+    """
+    total, dot = sums
+    if shift:
+        logits -= np.maximum.reduce(logits, axis=0)
+        np.exp(logits, out=e)
+        np.add.reduce(e, axis=0, out=total)
+        e *= logits
+        np.add.reduce(e, axis=0, out=dot)
+    else:
+        np.exp(logits, out=e)
+        np.add.reduce(e, axis=0, out=total)
+        np.einsum("ij,ij->j", e, logits, out=dot)
+    dot /= total
+    h = np.log(total, out=total)
+    h -= dot
+    # the clip method is np.clip's ufunc without np.clip's wrapper
+    return h.clip(0.0, _log_class_count(logits.shape[0]), out=h)
 
 
 def _check_labels(dataset: LabeledDataset, class_count: int) -> None:

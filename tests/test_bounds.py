@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from maxentlab.core import LinearSoftmaxModel, _sample_entropies, _shared_expect
 from maxentlab.diversity import analytic_diversity
 from maxentlab.errors import CovarianceError, DomainError
 from maxentlab.figures import _bound_jobs
+from maxentlab.fixtures import make_regime_fixtures
 from maxentlab.mixtures import GaussianMixture, fourth_moment_and_variance, recenter_zero_mean
 
 QUICK_CFG = Path(__file__).resolve().parent.parent / "configs" / "quick.cfg"
@@ -225,6 +227,43 @@ class TestVerifyBound:
                 # the empirical mean still comes next in the trial's own stream
                 emp = float(_sample_entropies(model, mix, n, rng).mean())
                 assert row.observed == abs(emp - est)
+
+
+    def test_rows_match_at_one_two_and_three_threads_when_a_share_mixes_both_entropy_forms(self):
+        # scale 1e3 puts every third model's blocks outside the no-shift guard,
+        # so each share of 100, 50 or 33 trials holds models of both forms
+        mix = make_regime_fixtures(7)[0]
+        sampler = uniform_model_sampler(10, 16, (0.1, 1.0, 1e3))
+        jobs = [("weight_norm", 50), ("entropy_deviation", 50), ("empirical_weight_norm", 50)]
+        runs = [
+            verify_bounds(jobs, mix, sampler, 0.1, trials=100, seed=5, entropy_draws=2_000,
+                          threads=threads)
+            for threads in (1, 2, 3)
+        ]
+        rows = [[[vars(r) for r in summary.rows] for summary in run] for run in runs]
+        assert rows[0] == rows[1] == rows[2]
+        assert all(rows[0])
+
+
+class TestMoreClassesThanDimensions:
+    def test_trimmed_run_at_100_classes_holds_little_memory(self):
+        # C = 100 > n = 16: each component's logit factor is V L_c (100 x 16),
+        # formed when the pass reaches it, with no 100 x 100 covariance
+        mix = make_regime_fixtures(7, components=100)[0]
+        jobs = [("weight_norm", 100), ("entropy_deviation", 100)]
+        tracemalloc.start()
+        try:
+            summaries = verify_bounds(
+                jobs, mix, uniform_model_sampler(100, 16), 0.1, trials=100, seed=1,
+                entropy_draws=1_000,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summaries[0].violation_count == 0
+        assert len(summaries[0].rows) == 100
+        # the 100 models' stacked V and one component's factors are 1.3 MB each
+        assert peak < 16 * 2**20
 
 
 class TestReferenceStreams:

@@ -13,8 +13,11 @@ from maxentlab._streams import ENTROPY_MC, derive_rng
 from maxentlab.bounds import uniform_model_sampler
 from maxentlab.core import (
     _BLOCK,
+    _NO_SHIFT_REACH,
     PROB_FLOOR,
     LinearSoftmaxModel,
+    _column_entropies,
+    _logit_component,
     _forward,
     _log_entropies,
     _sample_entropies,
@@ -71,22 +74,41 @@ def reference_logit_gradient(p, labels, gamma):
 
 
 def reference_logit_blocks(model, mixture, count, rng):
-    """Each block's entropies, in draw order."""
+    """Each block's entropies, in draw order.
+
+    A component's factor F is the spectral factor of V Sigma_c V' for C <= n
+    and V L_c, with L_c the component's own spectral factor, for C > n. A
+    block whose logits F z + V mu_c are proved within ``_NO_SHIFT_REACH``
+    (max |V mu_c| + max row sum of |F| times max |z|) takes exp of the
+    logits as they stand and its column dot products as one ``einsum``; any
+    other block subtracts each column's max first.
+    """
     v = model.weights if model.feature_map is None else model.weights @ model.feature_map
-    pushed = _pushforward(mixture, v)
-    rank = min(v.shape)
-    factors = spectral_factor(pushed.covariances)[:, :, -rank:]
+    classes, dim = v.shape
+    rank = min(classes, dim)
+    if classes <= dim:
+        factors = spectral_factor(_pushforward(mixture, v).covariances)
+    else:
+        factors = v @ spectral_factor(mixture.covariances)
     counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
-    for mean, factor, total in zip(pushed.means, factors, counts):
+    for mu, factor, total in zip(mixture.means, factors, counts):
+        mean = v @ mu
         for offset in range(0, total, _BLOCK):
             size = min(_BLOCK, total - offset)
-            logits = factor @ rng.standard_normal((rank, size))
+            z = rng.standard_normal((rank, size))
+            logits = factor @ z
             logits += mean[:, None]
-            logits -= logits.max(axis=0)
-            e = np.exp(logits)
+            reach = np.abs(mean).max() + np.abs(factor).sum(axis=1).max() * np.abs(z).max()
+            if reach <= _NO_SHIFT_REACH:
+                e = np.exp(logits)
+                dot = np.einsum("ij,ij->j", e, logits)
+            else:
+                logits -= logits.max(axis=0)
+                e = np.exp(logits)
+                dot = (e * logits).sum(axis=0)
             norm = e.sum(axis=0)
-            block = np.log(norm) - (e * logits).sum(axis=0) / norm
-            yield np.clip(block, 0.0, float(np.log(logits.shape[0])))
+            block = np.log(norm) - dot / norm
+            yield np.clip(block, 0.0, float(np.log(classes)))
 
 
 def reference_logit_entropies(model, mixture, count, rng):
@@ -481,6 +503,18 @@ class TestSharedExpectedEntropies:
             ]
             assert [e for share in shares for e in share] == whole
 
+    def test_an_estimate_does_not_depend_on_a_guard_failing_neighbour(self):
+        # weights scaled by 1e3 put every block of that model outside the
+        # no-shift guard, while the small model's blocks stay inside it
+        mix = make_regime_fixtures(7)[0]
+        rng = np.random.default_rng(8)
+        small = LinearSoftmaxModel(rng.uniform(-0.1, 0.1, size=(10, 16)))
+        huge = LinearSoftmaxModel(1e3 * rng.uniform(-1.0, 1.0, size=(10, 16)))
+        [alone] = _shared_expected_entropies([small], mix, 30_000, derive_rng(6, ENTROPY_MC))
+        for models in ([small, huge], [huge, small]):
+            together = _shared_expected_entropies(models, mix, 30_000, derive_rng(6, ENTROPY_MC))
+            assert np.array(together[models.index(small)]).tobytes() == np.array(alone).tobytes()
+
     @pytest.mark.parametrize("fixture", ["fine", "large", "spectrum"])
     def test_agrees_with_fresh_draws(self, fixture):
         if fixture == "spectrum":
@@ -506,6 +540,103 @@ class TestSharedExpectedEntropies:
         models = [uniform_model(), LinearSoftmaxModel(np.full((4, 3), 1e300))]
         with pytest.raises(NonFiniteError, match="overflow"):
             _shared_expected_entropies(models, mix, 500, derive_rng(0, ENTROPY_MC))
+
+
+def max_shift_entropies(logits):
+    """The max-shift form of the block entropies, with a fresh array for every intermediate."""
+    shifted = logits - logits.max(axis=0)
+    e = np.exp(shifted)
+    norm = e.sum(axis=0)
+    return np.clip(np.log(norm) - (e * shifted).sum(axis=0) / norm, 0.0, float(np.log(len(logits))))
+
+
+def block_entropies(logits, shift):
+    """``_column_entropies`` of a copy of ``logits``, in fresh buffers."""
+    z = np.array(logits)
+    return _column_entropies(z, np.empty_like(z), np.empty((2, z.shape[1])), shift).copy()
+
+
+class TestColumnEntropies:
+    """The no-shift form inside the guard, and today's max-shift form outside it."""
+
+    @given(
+        classes=st.integers(2, 12),
+        width=st.integers(1, 64),
+        reach=st.floats(0.0, _NO_SHIFT_REACH),
+        offset=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32),
+    )
+    @example(classes=10, width=5, reach=_NO_SHIFT_REACH, offset=1.0, seed=0)
+    @example(classes=10, width=5, reach=_NO_SHIFT_REACH, offset=-1.0, seed=1)
+    @example(classes=2, width=1, reach=0.0, offset=0.0, seed=2)  # a uniform column
+    @settings(max_examples=60, deadline=None)
+    def test_no_shift_agrees_with_the_max_shift_form_inside_the_guard(
+        self, classes, width, reach, offset, seed
+    ):
+        # logits within [-reach, reach]: a common offset of up to reach plus a
+        # spread that keeps every entry inside, as the guard proves of a block
+        rng = np.random.default_rng(seed)
+        spread = reach * (1.0 - abs(offset))
+        logits = reach * offset + rng.uniform(-spread, spread, size=(classes, width))
+        assert np.abs(logits).max() <= _NO_SHIFT_REACH
+        fast, shifted = block_entropies(logits, False), block_entropies(logits, True)
+        # the two forms' worst-case rounding added (see ``_column_entropies``)
+        eps = np.finfo(np.float64).eps
+        tol = (6 * classes + 24) * eps * max(1.0, float(np.abs(logits).max()))
+        assert np.abs(fast - shifted).max() <= tol
+        assert ((fast >= 0.0) & (fast <= math.log(classes))).all()
+
+    @given(
+        classes=st.integers(2, 12),
+        width=st.integers(1, 64),
+        scale=st.sampled_from([1.0, 300.0, 1e3, 1e6, 1e300]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shift_is_the_max_shift_form_bit_for_bit(self, classes, width, scale, seed):
+        logits = np.random.default_rng(seed).uniform(-scale, scale, size=(classes, width))
+        assert same_bits(block_entropies(logits, True), max_shift_entropies(logits))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_blocks_outside_the_guard_take_the_max_shift_form(self, scale):
+        # at 1e3 every block's logits may exceed the bound, so every block
+        # shifts; the test's block loop decides the guard on its own
+        rng = np.random.default_rng(21)
+        mix = make_regime_fixtures(7)[0]
+        model = LinearSoftmaxModel(scale * rng.uniform(-1.0, 1.0, size=(10, 16)))
+        h = _sample_entropies(model, mix, 20_000, derive_rng(2, ENTROPY_MC))
+        ref = reference_logit_entropies(model, mix, 20_000, derive_rng(2, ENTROPY_MC))
+        assert same_bits(h, ref)
+
+
+class TestMoreClassesThanDimensions:
+    """C = 100 > n = 16: the factor V L_c, with no C x C covariance."""
+
+    def test_factor_reproduces_the_logit_covariance(self):
+        mix = make_regime_fixtures(7, components=100)[0]
+        rng = np.random.default_rng(9)
+        v = rng.uniform(-1.0, 1.0, size=(2, 100, 16))
+        pushed = [_pushforward(mix, v[k]) for k in range(2)]
+        for component in (0, 57, 99):
+            means, factors, _, _ = _logit_component(v, mix, component)
+            assert factors.shape == (2, 100, 16)
+            for k in range(2):
+                cov = pushed[k].covariances[component]
+                # entries near 0 come from cancelling sums, so they are held to
+                # 1e-12 of the largest entry rather than of themselves
+                np.testing.assert_allclose(
+                    factors[k] @ factors[k].T, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max()
+                )
+                assert same_bits(means[k], v[k] @ mix.means[component])
+
+    def test_estimate_matches_feature_space_sampling(self):
+        mix = make_regime_fixtures(7, components=100)[0]
+        model = LinearSoftmaxModel(np.random.default_rng(10).uniform(-1.0, 1.0, size=(100, 16)))
+        est, se = expected_entropy_mc(model, mix, 20_000, seed=3)
+        data = sample(mix, 20_000, seed=4)
+        h = entropy_batch(predict_proba_batch(model, data.features))
+        ref_se = float(h.std(ddof=1)) / math.sqrt(data.size)
+        assert abs(est - float(h.mean())) <= 4.0 * math.hypot(se, ref_se)
 
 
 class TestBlockProduct:
