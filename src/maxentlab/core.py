@@ -269,7 +269,7 @@ def expected_entropy_mc(
     Gaussian mixture with means V mu_c and covariances V Sigma_c V' in R^C.
     So the draws are taken there directly: no feature vector is formed, and
     each draw costs min(C, n) normals instead of n (see ``_logit_entropies``
-    and, for the factor when C > n, ``_logit_component``).
+    and, for the factor when C > n, ``_logit_components``).
     """
     if draws < MIN_MC_DRAWS:
         raise DomainError(f"draws must be >= {MIN_MC_DRAWS}, got {draws}")
@@ -331,6 +331,11 @@ _BLOCK = 16384
 # exponentials nor their column sums can overflow or lose digits to underflow.
 _NO_SHIFT_REACH = 300.0
 
+# Most floats in one group's (K, g, C, n) stack of logit products: a pass over
+# 100 models at C = 10, n = 16 forms one component's factors at a time, while
+# a pass over one model forms all of its components' with one batched ``eigh``.
+_FACTOR_GROUP = 1 << 14
+
 
 def _sample_entropies(
     model: LinearSoftmaxModel, mixture: GaussianMixture, count: int, rng: np.random.Generator
@@ -357,24 +362,25 @@ def _logit_entropies(
     Each model's mixture is pushed forward through its V = W A, component
     counts come from one multinomial draw, and each component's draws are
     made in blocks: a (k, m) block of standard normals, k = min(C, n), mapped
-    through the model's factor F of V Sigma_c V' (``_logit_component``) and
+    through the model's factor F of V Sigma_c V' (``_logit_components``) and
     shifted by V mu_c gives m logit columns, reduced to entropies at once.
     All models map the same counts and blocks, so their V must share one
-    shape. A component's means and factors are formed for every model when
-    the loop reaches the component, so the pass holds one component's, not
-    all m of them. ``sink(k, start, h)`` receives model k's entropies of
-    draws start, start + 1, ... of a block, in draw order, grouped by
-    component, which leaves their mean and spread unchanged; ``h`` is a
-    buffer the next block reuses, the sink's to read or modify but not to
-    keep.
+    shape. Means and factors are formed for every model a group of g
+    components at a time, when the loop reaches the group, with g as large
+    as ``_FACTOR_GROUP`` allows and at least 1; each matrix of a stack gets
+    the bits it gets alone, so g moves no bit. ``sink(k, start, h)``
+    receives model k's entropies of draws start, start + 1, ... of a block,
+    in draw order, grouped by component, which leaves their mean and spread
+    unchanged; ``h`` is a buffer the next block reuses, the sink's to read
+    or modify but not to keep.
 
     A block skips the max shift of its entropies (``_column_entropies``)
-    when |mu_i| + sum_j |F_ij| |z_j| <= ``_NO_SHIFT_REACH`` is proved for
-    every logit: max_i |mu_i| + (max_i sum_j |F_ij|) max |z| is at most that
-    bound, with max |z| taken once per block for all models. Whether a block
-    is shifted therefore depends only on the model and the block, and a
-    model's entropies depend only on the model and the stream, never on the
-    other models.
+    when every logit is proved within ``_NO_SHIFT_REACH``: by Cauchy-Schwarz,
+    |mu_i + F_i z| <= max_i |mu_i| + (max_i ||F_i||) sqrt(k) max |z|, and
+    that is at most the bound, with max |z| taken once per block for all
+    models. Whether a block is shifted therefore depends only on the model
+    and the block, and a model's entropies depend only on the model and the
+    stream, never on the other models.
 
     Each block's product is written in column slices (``_linear``): one
     (10 x 10) @ (10 x 16,384) product is large enough for OpenBLAS to split
@@ -385,33 +391,37 @@ def _logit_entropies(
     with one product per block.
     """
     v = _logit_weights(models, mixture)
-    classes, rank = v.shape[1], min(v.shape[1:])
+    classes, dim = v.shape[1:]
+    rank = min(classes, dim)
+    # for C > n, every component's n x n spectral factor L_c, from one batched eigh
+    low = spectral_factor(mixture.covariances) if classes > dim else None
     counts = rng.multinomial(count, mixture.weights / mixture.weights.sum())
     # flat buffers shared by every block: a block of m columns views the first
     # rows * m entries, so each view is C-contiguous, as ``standard_normal``
     # needs of its ``out``
     width = min(_BLOCK, int(counts.max()))
     normals = np.empty(rank * width)
-    # the exponentials' buffer ends in two rows for a block's column sums
-    logits, exps = np.empty(classes * width), np.empty((classes + 2) * width)
-    sums = exps[classes * width :].reshape(2, width)
+    logits, exps = np.empty(classes * width), np.empty(classes * width)
+    sums = np.empty((2, width))  # a block's column sums and dot products
+    step = max(1, _FACTOR_GROUP // (len(models) * classes * dim))
     start = 0
-    for component, total in enumerate(counts):
-        means, factors, mean_reach, factor_reach = _logit_component(v, mixture, component)
-        columns = means[:, :, None]
-        for offset in range(0, total, _BLOCK):
-            size = min(_BLOCK, total - offset)
-            z = rng.standard_normal(out=normals[: rank * size].reshape(rank, size))
-            z_reach = max(np.maximum.reduce(z, axis=None), -np.minimum.reduce(z, axis=None))
-            out = logits[: classes * size].reshape(classes, size)
-            e = exps[: classes * size].reshape(classes, size)
-            work = sums[:, :size]
-            for k in range(len(models)):
-                block = _linear(z, factors[k], out, columns=True)
-                block += columns[k]
-                shift = mean_reach[k] + factor_reach[k] * z_reach > _NO_SHIFT_REACH
-                sink(k, start, _column_entropies(block, e, work, shift))
-            start += size
+    for first in range(0, mixture.count, step):
+        group = slice(first, first + step)
+        means, factors, mean_reach, factor_reach = _logit_components(v, mixture, group, low)
+        for j, total in enumerate(counts[group]):
+            for offset in range(0, total, _BLOCK):
+                size = min(_BLOCK, total - offset)
+                z = rng.standard_normal(out=normals[: rank * size].reshape(rank, size))
+                z_reach = max(np.maximum.reduce(z, axis=None), -np.minimum.reduce(z, axis=None))
+                out = logits[: classes * size].reshape(classes, size)
+                e = exps[: classes * size].reshape(classes, size)
+                work = sums[:, :size]
+                for k in range(len(models)):
+                    block = _linear(z, factors[k, j], out, columns=True)
+                    block += means[k, j][:, None]
+                    shift = mean_reach[k][j] + factor_reach[k][j] * z_reach > _NO_SHIFT_REACH
+                    sink(k, start, _column_entropies(block, e, work, shift))
+                start += size
 
 
 def _logit_weights(models: list[LinearSoftmaxModel], mixture: GaussianMixture) -> np.ndarray:
@@ -425,35 +435,42 @@ def _logit_weights(models: list[LinearSoftmaxModel], mixture: GaussianMixture) -
     return np.stack(vs)
 
 
-def _logit_component(
-    v: np.ndarray, mixture: GaussianMixture, component: int
-) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
-    """(means, factors, mean reaches, factor reaches) of one component's logits under each V of v.
+def _logit_components(
+    v: np.ndarray, mixture: GaussianMixture, group: slice, low: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, list[list[float]], list[list[float]]]:
+    """(means, factors, mean reaches, factor reaches) of a group of components' logits under each V.
 
-    For a (K, C, n) stack of V: the (K, C) means V mu_c and (K, C, min(C, n))
-    factors F with F F' = V Sigma_c V'. For C <= n, F is the spectral factor
-    of that C x C covariance. For C > n, F = V L_c with L_c the component's
-    own n x n spectral factor: the same covariance, at rank n, without a
-    C x C matrix or its ``eigh``. The reaches are each model's max_i |mu_i|
-    and max_i sum_j |F_ij|, for the no-shift guard of ``_logit_entropies``.
-    Means or covariances that overflow raise NonFiniteError; for C > n the
+    For a (K, C, n) stack of V and the g components of ``group``: the
+    (K, g, C) means V mu_c and (K, g, C, k) factors F, k = min(C, n), with
+    F F' = V Sigma_c V'. For C <= n (``low`` is None), F is the spectral
+    factor of that C x C covariance. For C > n, F = V L_c with L_c from
+    ``low``, the stack of the components' own n x n spectral factors: the
+    same covariance, at rank n, without a C x C matrix or its ``eigh``. The
+    means and products are taken one matrix at a time (stacked ``matmul``,
+    batched ``eigh``), so each gets the bits it gets alone, whatever K and g.
+    The reaches, indexed [model][component], are max_i |mu_i| and
+    (max_i ||F_i||) sqrt(k), for the no-shift guard of ``_logit_entropies``;
+    the row norms come from the diagonal of F F', with no |F| array. Means
+    or covariances that overflow raise NonFiniteError; for C > n the
     covariance's diagonal, the row sums of F * F, stands for it, since it
     bounds every entry.
     """
-    classes, dim = v.shape[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
-        means = v @ mixture.means[component]
-        if classes <= dim:
-            covs = _congruence(v, mixture.covariances[component])
+        # one matrix-vector product per component, as without groups
+        means = np.stack([v @ mu for mu in mixture.means[group]], axis=1)
+        if low is None:
+            covs = _congruence(v[:, None], mixture.covariances[group])
         else:
-            factors = v @ spectral_factor(mixture.covariances[component])
-            covs = np.einsum("kij,kij->ki", factors, factors)  # the diagonals of F F'
+            factors = v[:, None] @ low[group]
+            covs = np.einsum("...ij,...ij->...i", factors, factors)  # the diagonals of F F'
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise NonFiniteError("the mixture's logit means or covariances overflow under the weights")
-    if classes <= dim:
+    if low is None:
         factors = spectral_factor(covs)
+    # the squared row norms ||F_i||^2, the diagonal of F F'
+    rows = np.einsum("...ij,...ij->...i", factors, factors) if low is None else covs
     mean_reach = np.maximum.reduce(np.abs(means), axis=-1)
-    factor_reach = np.maximum.reduce(np.add.reduce(np.abs(factors), axis=-1), axis=-1)
+    factor_reach = np.sqrt(factors.shape[-1] * np.maximum.reduce(rows, axis=-1))
     return means, factors, mean_reach.tolist(), factor_reach.tolist()
 
 
@@ -481,7 +498,7 @@ def _column_entropies(
     """
     total, dot = sums
     if shift:
-        logits -= np.maximum.reduce(logits, axis=0)
+        logits -= np.maximum.reduce(logits, axis=0, out=dot)
         np.exp(logits, out=e)
         np.add.reduce(e, axis=0, out=total)
         e *= logits

@@ -213,7 +213,9 @@ def _congruence(a: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """(S + S') / 2 for S = a @ covs @ a', over the last two axes.
 
     Either operand may be a stack, (K, k, n) matrices or (m, n, n)
-    covariances, and each matrix of a stack gets the bits it gets alone. The
+    covariances, or both, broadcast as ``matmul`` does ((K, 1, k, n) against
+    (m, n, n) gives (K, m, k, k)), and each matrix of a stack gets the bits
+    it gets alone. The
     two matrix products took 8 ms where one three-operand ``einsum`` took
     339 ms (k = 100, n = 16, m = 100, one 2-vCPU x86-64 core); the
     symmetrisation removes their rounding asymmetry.

@@ -46,7 +46,7 @@ CSV_CELLS = st.one_of(
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.floats(),
     st.floats().map(np.float64),
-    st.text(st.characters(exclude_characters=",\n")),
+    st.text(st.characters(exclude_characters=",\n", codec="utf-8")),
 )
 
 

@@ -17,7 +17,7 @@ from maxentlab.core import (
     PROB_FLOOR,
     LinearSoftmaxModel,
     _column_entropies,
-    _logit_component,
+    _logit_components,
     _forward,
     _log_entropies,
     _sample_entropies,
@@ -79,9 +79,9 @@ def reference_logit_blocks(model, mixture, count, rng):
     A component's factor F is the spectral factor of V Sigma_c V' for C <= n
     and V L_c, with L_c the component's own spectral factor, for C > n. A
     block whose logits F z + V mu_c are proved within ``_NO_SHIFT_REACH``
-    (max |V mu_c| + max row sum of |F| times max |z|) takes exp of the
-    logits as they stand and its column dot products as one ``einsum``; any
-    other block subtracts each column's max first.
+    (max |V mu_c| + the longest row norm of F times sqrt(k) max |z|, k the
+    rank) takes exp of the logits as they stand and its column dot products
+    as one ``einsum``; any other block subtracts each column's max first.
     """
     v = model.weights if model.feature_map is None else model.weights @ model.feature_map
     classes, dim = v.shape
@@ -98,7 +98,8 @@ def reference_logit_blocks(model, mixture, count, rng):
             z = rng.standard_normal((rank, size))
             logits = factor @ z
             logits += mean[:, None]
-            reach = np.abs(mean).max() + np.abs(factor).sum(axis=1).max() * np.abs(z).max()
+            row = math.sqrt(rank * (factor * factor).sum(axis=1).max())
+            reach = np.abs(mean).max() + row * np.abs(z).max()
             if reach <= _NO_SHIFT_REACH:
                 e = np.exp(logits)
                 dot = np.einsum("ij,ij->j", e, logits)
@@ -597,6 +598,29 @@ class TestColumnEntropies:
         logits = np.random.default_rng(seed).uniform(-scale, scale, size=(classes, width))
         assert same_bits(block_entropies(logits, True), max_shift_entropies(logits))
 
+    @given(
+        classes=st.integers(2, 24),
+        dim=st.integers(1, 12),
+        scale=st.sampled_from([0.01, 1.0, 30.0, 1e3]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_guard_bounds_every_logit(self, classes, dim, scale, seed):
+        # max |mu| + factor reach * max |z| bounds |F z + mu| for every column,
+        # up to rounding (equality holds at rank 1), which the guard's distance
+        # from exp's overflow absorbs
+        rng = np.random.default_rng(seed)
+        mix = random_mixture(rng, dim, 3)
+        v = scale * rng.uniform(-1.0, 1.0, size=(2, classes, dim))
+        low = spectral_factor(mix.covariances) if classes > dim else None
+        means, factors, mean_reach, factor_reach = _logit_components(v, mix, slice(0, 3), low)
+        z = rng.standard_normal((factors.shape[-1], 500))
+        for k in range(2):
+            for c in range(3):
+                logits = factors[k, c] @ z + means[k, c][:, None]
+                reach = mean_reach[k][c] + factor_reach[k][c] * np.abs(z).max()
+                assert np.abs(logits).max() <= reach * (1.0 + 1e-12)
+
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_blocks_outside_the_guard_take_the_max_shift_form(self, scale):
         # at 1e3 every block's logits may exceed the bound, so every block
@@ -609,6 +633,23 @@ class TestColumnEntropies:
         assert same_bits(h, ref)
 
 
+class TestLogitComponents:
+    @pytest.mark.parametrize("classes, dim", [(10, 16), (100, 16)])
+    @pytest.mark.parametrize("models", [1, 3])
+    def test_component_groups_do_not_move_bits(self, classes, dim, models):
+        # the pass groups components by how many models share it
+        mix = make_regime_fixtures(7, dim=dim, components=12)[0]
+        v = np.random.default_rng(11).uniform(-1.0, 1.0, size=(models, classes, dim))
+        low = spectral_factor(mix.covariances) if classes > dim else None
+        whole = _logit_components(v, mix, slice(0, 12), low)
+        for c in range(12):
+            alone = _logit_components(v, mix, slice(c, c + 1), low)
+            assert same_bits(alone[0][:, 0], whole[0][:, c])
+            assert same_bits(alone[1][:, 0], whole[1][:, c])
+            assert [r[0] for r in alone[2]] == [r[c] for r in whole[2]]
+            assert [r[0] for r in alone[3]] == [r[c] for r in whole[3]]
+
+
 class TestMoreClassesThanDimensions:
     """C = 100 > n = 16: the factor V L_c, with no C x C covariance."""
 
@@ -617,17 +658,23 @@ class TestMoreClassesThanDimensions:
         rng = np.random.default_rng(9)
         v = rng.uniform(-1.0, 1.0, size=(2, 100, 16))
         pushed = [_pushforward(mix, v[k]) for k in range(2)]
+        low = spectral_factor(mix.covariances)
         for component in (0, 57, 99):
-            means, factors, _, _ = _logit_component(v, mix, component)
-            assert factors.shape == (2, 100, 16)
+            means, factors, _, _ = _logit_components(v, mix, slice(component, component + 1), low)
+            assert factors.shape == (2, 1, 100, 16)
             for k in range(2):
                 cov = pushed[k].covariances[component]
+                f = factors[k, 0]
                 # entries near 0 come from cancelling sums, so they are held to
                 # 1e-12 of the largest entry rather than of themselves
-                np.testing.assert_allclose(
-                    factors[k] @ factors[k].T, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max()
-                )
-                assert same_bits(means[k], v[k] @ mix.means[component])
+                np.testing.assert_allclose(f @ f.T, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max())
+                assert same_bits(means[k, 0], v[k] @ mix.means[component])
+
+    def test_batched_spectral_factors_are_each_matrix_alone(self):
+        # the kernel factors every component of a call in one batched eigh
+        mix = make_regime_fixtures(7, components=100)[0]
+        low = spectral_factor(mix.covariances)
+        assert all(same_bits(low[c], spectral_factor(mix.covariances[c])) for c in range(100))
 
     def test_estimate_matches_feature_space_sampling(self):
         mix = make_regime_fixtures(7, components=100)[0]
